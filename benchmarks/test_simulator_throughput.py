@@ -50,12 +50,12 @@ def test_cancel_heavy_engine_throughput(benchmark):
 
 
 def test_terasort_legacy_kernel_rate(benchmark):
-    """The pre-fast-path baseline tracked alongside the fast path above:
-    one simulator event per task, driven by the peek/step loop."""
+    """The ``terasort`` bench baseline tracked alongside the array-kernel
+    run above: the legacy object-heap kernel, driven by its peek/step loop."""
     from repro.experiments.bench import _run_terasort
 
     tasks = benchmark.pedantic(
-        lambda: _run_terasort(100, 100, fast_path=False, peek_step=True),
+        lambda: _run_terasort(100, 100, "legacy"),
         rounds=3, iterations=1,
     )
     assert tasks == 200

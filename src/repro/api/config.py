@@ -178,9 +178,6 @@ class RuntimeConfig:
     failure_plan: FailurePlan = field(default_factory=FailurePlan)
     #: Non-failure job duration used to resolve ``at_fraction`` failures.
     reference_duration: ReferenceDuration = 100.0
-    #: Use the finish-ledger fast path (results are byte-identical; see
-    #: tests/test_determinism.py).
-    fast_path: bool = True
     #: Wire a :class:`repro.audit.ResourceLedger` through the runtime so
     #: every register/release of connections, Cache Worker bytes, and
     #: executor slots is reconciled at checkpoints.
@@ -212,7 +209,6 @@ class RuntimeConfig:
             "sim": _sim_config_to_dict(self.sim),
             "failure_plan": _failure_plan_to_list(self.failure_plan),
             "reference_duration": self.reference_duration,
-            "fast_path": self.fast_path,
             "audit": self.audit,
             "audit_strict": self.audit_strict,
         }
@@ -235,7 +231,6 @@ class RuntimeConfig:
                 list(payload.get("failure_plan", []))
             ),
             reference_duration=reference,
-            fast_path=bool(payload.get("fast_path", True)),
             audit=bool(payload.get("audit", False)),
             audit_strict=bool(payload.get("audit_strict", True)),
         )

@@ -147,7 +147,6 @@ class Runtime:
             config=self.config.sim,
             failure_plan=self.config.failure_plan,
             reference_duration=self.config.reference_duration,
-            fast_path=self.config.fast_path,
             tracer=tracer,
             audit=self.config.audit,
             audit_strict=self.config.audit_strict,

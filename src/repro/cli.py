@@ -298,7 +298,7 @@ def _print_simulator_summary(payload: dict) -> None:
     print(f"event engine: {payload['event_engine']['events_per_s']:,.0f} events/s")
     print(f"cancel-heavy: {payload['cancel_heavy']['events_per_s']:,.0f} events/s")
     print(f"terasort: legacy {terasort['baseline_ms']:.1f}ms -> "
-          f"fast {terasort['fast_ms']:.1f}ms ({terasort['speedup']:.2f}x)")
+          f"array {terasort['array_ms']:.1f}ms ({terasort['speedup']:.2f}x)")
     tracing = payload["tracing"]
     print(f"tracing: disabled {tracing['disabled_ms']:.1f}ms -> "
           f"recording {tracing['recording_ms']:.1f}ms "

@@ -10,7 +10,9 @@ overhead is a single append per event.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator, Optional
 
 
@@ -49,23 +51,25 @@ class RuntimeEvent:
 class EventLog:
     """Append-only event log with query helpers.
 
-    ``capacity`` bounds memory for long replays; older events are dropped
-    from the front once exceeded (0 means unbounded).
+    ``capacity`` bounds memory for long replays; once it is reached each
+    append drops the oldest event in O(1) (0 means unbounded).
     """
 
     capacity: int = 0
-    events: list[RuntimeEvent] = field(default_factory=list)
+    events: deque[RuntimeEvent] = field(init=False)
     dropped: int = 0
+
+    def __post_init__(self) -> None:
+        self.events = deque(maxlen=self.capacity or None)
 
     def record(
         self, time: float, kind: EventKind, job_id: str, detail: str = ""
     ) -> None:
-        """Append one event, trimming the front past ``capacity``."""
-        self.events.append(RuntimeEvent(time, kind, job_id, detail))
-        if self.capacity and len(self.events) > self.capacity:
-            overflow = len(self.events) - self.capacity
-            del self.events[:overflow]
-            self.dropped += overflow
+        """Append one event, dropping the oldest past ``capacity``."""
+        events = self.events
+        if len(events) == events.maxlen:
+            self.dropped += 1
+        events.append(RuntimeEvent(time, kind, job_id, detail))
 
     def of_kind(self, kind: EventKind) -> list[RuntimeEvent]:
         """All events of one kind, in order."""
@@ -90,4 +94,5 @@ class EventLog:
 
     def format_tail(self, n: int = 20) -> str:
         """Render the last ``n`` events, one per line."""
-        return "\n".join(str(e) for e in self.events[-n:])
+        tail = list(islice(reversed(self.events), n))
+        return "\n".join(str(e) for e in reversed(tail))

@@ -22,7 +22,6 @@ finish time back, which keeps failure handling simple and exact.
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -127,8 +126,6 @@ class StageRun:
         self.finish_estimate = 0.0
         self.first_output = math.inf
         self.earliest_read_done = math.inf
-        #: Time of the latest drain event scheduled for this stage (fast path).
-        self.drain_scheduled_at = -math.inf
 
     @property
     def name(self) -> str:
@@ -241,7 +238,6 @@ class SwiftRuntime:
         failure_plan: Optional[FailurePlan] = None,
         reference_duration: "float | dict[str, float]" = 100.0,
         shadow: Optional[ShadowController] = None,
-        fast_path: bool = True,
         tracer: Optional[Tracer] = None,
         audit: bool = False,
         audit_strict: bool = True,
@@ -301,29 +297,13 @@ class SwiftRuntime:
         #: (start, end) executor-busy intervals for utilization series.
         self.busy_intervals: list[tuple[float, float]] = []
         self._request_units: dict[int, UnitRun] = {}
-        #: Event-kernel fast path: when no failure is planned, task finish
-        #: times are immutable once computed, so per-task finish events are
-        #: replaced by a runtime-local "finish ledger" that is replayed in
-        #: exact event order (clock rewound per entry) whenever state must be
-        #: observed — one drain event per computed stage batch instead of one
-        #: event per task.  Recovery needs per-task events, so any failure
-        #: plan falls back to the legacy path.
-        self._fast_path = bool(fast_path) and len(self.failure_plan) == 0
-        self.scheduler.fast_ops = self._fast_path
-        self._finish_ledger: list[tuple[float, int, TaskInstance]] = []
-        self._ledger_seq = 0
-        self._flushing = False
-        self._outer_now: Optional[float] = None
         #: Set once ``run()`` returns with the event queue empty; late
         #: submissions then raise :class:`RuntimeDrainedError` instead of
         #: queueing events that would never execute.
         self._drained = False
         #: Completion hook for the service gateway: called with each
         #: :class:`JobResult` right after it is appended to ``results``
-        #: (both successful and failed terminations).  Hook bodies must use
-        #: :meth:`event_now` when scheduling follow-up events — completion
-        #: can be observed during a finish-ledger flush, while the clock is
-        #: transiently rewound.
+        #: (both successful and failed terminations).
         self.on_job_done: Optional[Callable[[JobResult], None]] = None
         for machine in cluster.machines:
             if machine.cache_worker is None:
@@ -343,9 +323,6 @@ class SwiftRuntime:
             cluster.network.ledger = self.ledger
             for machine in cluster.machines:
                 machine.cache_worker.ledger = self.ledger  # type: ignore[union-attr]
-        if not policy.gang:
-            # Wave execution is only meaningful for single-stage units.
-            pass
 
     # ------------------------------------------------------------------
     # Public API
@@ -362,23 +339,9 @@ class SwiftRuntime:
         ``schedule_batch`` call instead of per-job heap pushes.
         """
         self._check_not_drained()
-        now = self.sim.now
         self.sim.schedule_batch(
-            [(job.submit_time - now, self._on_job_submitted, (job, 0)) for job in jobs]
+            [(job.submit_time, self._on_job_submitted, (job, 0)) for job in jobs]
         )
-
-    def event_now(self) -> float:
-        """Earliest time a new simulator event may safely be scheduled.
-
-        During a finish-ledger flush the kernel clock is transiently rewound
-        to replay deferred finishes in order; scheduling at ``sim.now`` then
-        would create past-time events and drag the engine clock backwards.
-        Hooks that schedule work (``on_job_done`` dispatchers) must use this
-        instead of ``sim.now``.
-        """
-        if self._flushing and self._outer_now is not None:
-            return self._outer_now
-        return self.sim.now
 
     def _check_not_drained(self) -> None:
         if self._drained:
@@ -391,9 +354,6 @@ class SwiftRuntime:
     def run(self, until: Optional[float] = None) -> list[JobResult]:
         """Run the simulation to completion and return per-job results."""
         self.sim.run(until=until)
-        # Fast path: finalize any ledger entries due by the stop time (the
-        # legacy path realised them as simulator events during the run).
-        self._flush_finishes()
         if self.ledger is not None:
             # Drained-state assertions only make sense once every submitted
             # job has terminated (``until`` may stop mid-flight).
@@ -420,11 +380,6 @@ class SwiftRuntime:
     # Job lifecycle
     # ------------------------------------------------------------------
     def _on_job_submitted(self, job: Job, attempt: int) -> None:
-        # Catch up strictly-earlier deferred finishes so this submission sees
-        # the same cluster state it would under per-task events.  Same-time
-        # finishes stay deferred: their legacy events carry larger sequence
-        # numbers than this submission's, so they ran after it.
-        self._flush_finishes(strict=True)
         graphlets = self.policy.partitioner.partition(job.dag)
         if not self.policy.gang:
             for graphlet in graphlets.graphlets:
@@ -590,50 +545,35 @@ class SwiftRuntime:
         dispatch_from = self.shadow.next_available(self.sim.now)
         self.shadow.record_completion(self.sim.now)
         times = self.admin.dispatch_times(dispatch_from, len(batch))
-        rng = self.sim.rng
-        metrics = job_run.metrics
-        if self._fast_path:
-            self._dispatch_batch_fast(job_run, batch, grant.executors, times, rng)
-            if times:
-                # dispatch_times is strictly increasing, so only the first
-                # arrival can move the job's start time.
-                first = times[0]
-                if metrics.start_time == 0.0 or first < metrics.start_time:
-                    metrics.start_time = first
-        else:
-            for inst, executor, arrive in zip(batch, grant.executors, times):
-                executor.current_task = inst
-                executor.start()
-                inst.executor = executor
-                inst.state = TaskState.DISPATCHED
-                inst.plan_arrive = arrive
-                inst.launch = self._launch_overhead(rng)
-                inst.stage_run.n_dispatched += 1
-                self.admin.plan_cached(job_run.job.job_id, inst.stage_run.name)
-                if metrics.start_time == 0.0 or arrive < metrics.start_time:
-                    metrics.start_time = arrive
+        self._dispatch_batch(job_run, batch, grant.executors, times)
+        if times:
+            # dispatch_times is strictly increasing, so only the first
+            # arrival can move the job's start time.
+            first = times[0]
+            metrics = job_run.metrics
+            if metrics.start_time == 0.0 or first < metrics.start_time:
+                metrics.start_time = first
         self._try_compute_stages(unit)
 
-    def _dispatch_batch_fast(
+    def _dispatch_batch(
         self,
         job_run: JobRun,
         batch: list["TaskInstance"],
         executors: list[Executor],
         times: list[float],
-        rng,
     ) -> None:
-        """Per-task dispatch loop with the executor state machine inlined.
+        """Hand a granted batch to its executors and draw launch overheads.
 
         Executors arrive ASSIGNED from the scheduler, so ASSIGNED->RUNNING
-        never touches idle counters; the rng draw sequence matches
-        ``_launch_overhead`` exactly (prelaunched draws nothing).
+        never touches idle counters.  Cold-start launches draw one rng
+        sample per task; prelaunched executors draw nothing.
         """
         cfg = self.config.executor
         prelaunched = self.policy.launch == LaunchModel.PRELAUNCHED
         fixed_launch = cfg.prelaunched_overhead
         mean = cfg.coldstart_mean
         jitter = cfg.coldstart_jitter
-        uniform = rng.uniform
+        uniform = self.sim.rng.uniform
         running = ExecutorState.RUNNING
         dispatched = TaskState.DISPATCHED
         plan_cached = self.admin.plan_cached
@@ -660,13 +600,6 @@ class SwiftRuntime:
             else:
                 last_sr = sr
                 plan_cached(job_id, sr.name)
-
-    def _launch_overhead(self, rng) -> float:
-        cfg = self.config.executor
-        if self.policy.launch == LaunchModel.PRELAUNCHED:
-            return cfg.prelaunched_overhead
-        jitter = cfg.coldstart_jitter
-        return max(0.0, cfg.coldstart_mean + rng.uniform(-jitter, jitter))
 
     def _try_compute_stages(self, unit: UnitRun) -> None:
         """Prepare and compute every stage of the unit whose inputs are known."""
@@ -908,66 +841,19 @@ class SwiftRuntime:
         sr.computed = sr.n_computed == len(sr.instances)
 
     def _compute_ready_instances(self, sr: StageRun) -> None:
-        """Compute finish times for dispatched-but-uncomputed instances."""
-        rng = self.sim.rng
+        """Compute finish times for dispatched-but-uncomputed instances.
+
+        Stage constants and aggregates are carried in locals and written
+        back once.  The batch's finish events reach the kernel in one
+        ``schedule_batch`` call, at their exact finish times and in instance
+        order, so they fire exactly as one ``_schedule_finish`` per instance
+        would have.
+        """
+        uniform = self.sim.rng.uniform
         work = self._work_seconds(sr)
         flush = self.config.pipeline_flush_latency
-        computed_before = sr.n_computed
-        if self._fast_path:
-            self._compute_ready_instances_fast(sr, rng, work, flush)
-        else:
-            for inst in sr.instances:
-                if inst.state != TaskState.DISPATCHED or inst.finish_time != math.inf:
-                    continue
-                inst.proc = work * (1.0 + rng.uniform(0.0, 0.06))
-                inst.read = sr.scan_read + sr.read_cost
-                inst.write = sr.write_cost
-                ready = inst.plan_arrive + inst.launch
-                inst.start = max(ready, sr.barrier_avail)
-                finish = inst.start + inst.read + inst.proc + inst.write
-                if sr.pipeline_floor > 0:
-                    finish = max(finish, sr.pipeline_floor + flush)
-                    inst.start = max(inst.start, sr.pipeline_first_input)
-                inst.finish_time = finish
-                if not sr.has_inputs:
-                    inst.data_arrive = ready
-                else:
-                    arrivals = [ready]
-                    if sr.barrier_avail > 0:
-                        arrivals.append(sr.barrier_avail)
-                    if sr.pipeline_first_input > 0:
-                        arrivals.append(sr.pipeline_first_input)
-                    inst.data_arrive = max(arrivals)
-                sr.n_computed += 1
-                sr.finish_estimate = max(sr.finish_estimate, inst.finish_time)
-                sr.earliest_read_done = min(
-                    sr.earliest_read_done, inst.start + inst.read
-                )
-                self._schedule_finish(inst)
-        if self._fast_path and sr.n_computed > computed_before:
-            self._schedule_drain(sr)
-        if sr.n_computed == len(sr.instances):
-            sr.computed = True
-            if sr.stage.is_blocking or not self.policy.pipelined_execution:
-                sr.first_output = sr.finish_estimate
-            else:  # streaming stage: first output follows the earliest start
-                starts = [i.start for i in sr.instances if i.start != math.inf]
-                base = min(starts) if starts else self.sim.now
-                sr.first_output = max(base, sr.pipeline_first_input) + flush
-            # Unblock same-unit successors now that estimates exist.
-            self._try_compute_stages(sr.job_run.units[sr.unit_id])
-
-    def _compute_ready_instances_fast(
-        self, sr: StageRun, rng, work: float, flush: float
-    ) -> None:
-        """Hot-loop variant of the per-instance timing computation.
-
-        Identical arithmetic and rng draw order to the legacy loop; stage
-        aggregates are carried in locals and written back once, and ledger
-        entries are appended in bulk with a single heapify instead of one
-        ``_schedule_finish`` call (and heap push) per instance.
-        """
-        uniform = rng.uniform
+        now = self.sim.now
+        on_finish = self._on_task_finish
         read = sr.scan_read + sr.read_cost
         write = sr.write_cost
         barrier = sr.barrier_avail
@@ -977,11 +863,9 @@ class SwiftRuntime:
         finish_est = sr.finish_estimate
         earliest = sr.earliest_read_done
         n_computed = sr.n_computed
-        ledger = self._finish_ledger
-        seq = self._ledger_seq
         dispatched = TaskState.DISPATCHED
         inf = math.inf
-        appended = False
+        finishes: list[tuple[float, Callable[..., None], tuple]] = []
         for inst in sr.instances:
             if inst.state is not dispatched or inst.finish_time != inf:
                 continue
@@ -1015,217 +899,81 @@ class SwiftRuntime:
             read_done = start + read
             if read_done < earliest:
                 earliest = read_done
-            inst.event_scheduled = True
-            seq += 1
-            ledger.append((finish, seq, inst))
-            appended = True
+            if not inst.event_scheduled:
+                # A suspended attempt may still own a pending finish event;
+                # that event chases the new finish time when it fires.
+                inst.event_scheduled = True
+                finishes.append((finish if finish > now else now, on_finish, (inst,)))
         sr.n_computed = n_computed
         sr.finish_estimate = finish_est
         sr.earliest_read_done = earliest
-        self._ledger_seq = seq
-        if appended:
-            heapq.heapify(ledger)
+        if finishes:
+            self.sim.schedule_batch(finishes)
+        if n_computed == len(sr.instances):
+            sr.computed = True
+            if sr.stage.is_blocking or not self.policy.pipelined_execution:
+                sr.first_output = sr.finish_estimate
+            else:  # streaming stage: first output follows the earliest start
+                starts = [i.start for i in sr.instances if i.start != math.inf]
+                base = min(starts) if starts else self.sim.now
+                sr.first_output = max(base, sr.pipeline_first_input) + flush
+            # Unblock same-unit successors now that estimates exist.
+            self._try_compute_stages(sr.job_run.units[sr.unit_id])
 
     def _schedule_finish(self, inst: TaskInstance) -> None:
         if inst.event_scheduled:
             return
         inst.event_scheduled = True
-        if self._fast_path:
-            # No simulator event per task: record the finish in the ledger;
-            # it is realised (in exact event order) by the next flush.
-            self._ledger_seq += 1
-            heapq.heappush(
-                self._finish_ledger, (inst.finish_time, self._ledger_seq, inst)
-            )
-            return
         self.sim.schedule_at(
             max(inst.finish_time, self.sim.now), self._on_task_finish, inst
         )
-
-    def _schedule_drain(self, sr: StageRun) -> None:
-        """One simulator event per computed batch, at the batch's last finish.
-
-        The drain guarantees every ledger entry of the batch is flushed no
-        later than its stage's completion time; between drains, any handler
-        that observes runtime state flushes on entry.
-        """
-        at = sr.finish_estimate
-        if at <= sr.drain_scheduled_at:
-            return
-        sr.drain_scheduled_at = at
-        self.sim.schedule_at(max(at, self.event_now()), self._flush_finishes)
-
-    def _flush_finishes(self, strict: bool = False) -> None:
-        """Realise all deferred task finishes due by ``sim.now``.
-
-        Entries are replayed in exactly the order the legacy per-task events
-        would have fired — (finish time, schedule sequence) — with the
-        simulated clock rewound to each entry's finish time, so every
-        downstream effect (metrics, stage completion, scheduler grants, rng
-        draws, event-log records) is byte-identical to the per-task path.
-        ``strict`` excludes entries at exactly ``sim.now`` (used by handlers
-        whose legacy event ordered before same-time finish events).
-        """
-        if self._flushing:
-            return
-        ledger = self._finish_ledger
-        if not ledger:
-            return
-        sim = self.sim
-        scheduler = self.scheduler
-        target = sim.now
-        self._flushing = True
-        outer = sim.now
-        self._outer_now = outer
-        heappop = heapq.heappop
-        busy_append = self.busy_intervals.append
-        make_timing = TaskTiming
-        trace_on = self.tracer.enabled
-        trace_task = self.tracer.task_span
-        cluster = self.cluster
-        idle = ExecutorState.IDLE
-        revoked = ExecutorState.REVOKED
-        dispatched = TaskState.DISPATCHED
-        finished = TaskState.FINISHED
-        dead = TaskState.DEAD
-        inf = math.inf
-        # Per-stage constants (job id, stage name, instance count, metrics
-        # list) are cached across consecutive entries of the same stage —
-        # ledger order interleaves stages rarely, so this usually hits.
-        cached_sr = None
-        job_id = stage_name = tasks_append = n_instances = None
-        try:
-            while ledger:
-                finish = ledger[0][0]
-                if finish > target or (strict and finish >= target):
-                    break
-                _, _, inst = heappop(ledger)
-                inst.event_scheduled = False
-                sr = inst.stage_run
-                job_run = sr.job_run
-                if job_run.aborted or job_run.failed or inst.state is dead:
-                    continue
-                if inst.finish_time == inf:
-                    # Suspended by a crash; recovery will reschedule.
-                    continue
-                if inst.finish_time > finish + _EPS:
-                    # Finish moved after scheduling; chase it (defensive —
-                    # cannot happen while the fast path is active).
-                    self._schedule_finish(inst)
-                    continue
-                if inst.state is not dispatched:
-                    continue
-                if sr is not cached_sr:
-                    cached_sr = sr
-                    job_id = job_run.job.job_id
-                    stage_name = sr.name
-                    tasks_append = job_run.metrics.tasks.append
-                    n_instances = len(sr.instances)
-                sim._now = finish
-                inst.state = finished
-                # _finalize_instance, inlined with the executor release
-                # unrolled (fast-path invariant: machines stay healthy, so
-                # IDLE always returns the slot to the cluster's free pool).
-                plan_arrive = inst.plan_arrive
-                data_arrive = inst.data_arrive
-                tasks_append(
-                    make_timing(
-                        job_id,
-                        stage_name,
-                        inst.index,
-                        inst.attempt,
-                        plan_arrive,
-                        data_arrive if data_arrive < finish else finish,
-                        finish,
-                        inst.launch,
-                        inst.read,
-                        inst.proc,
-                        inst.write,
-                    )
-                )
-                busy_append((plan_arrive, finish))
-                if trace_on:
-                    trace_task(
-                        stage_name, job_id, inst.index, inst.attempt,
-                        plan_arrive, data_arrive, finish,
-                        inst.launch, inst.read, inst.proc, inst.write,
-                    )
-                executor = inst.executor
-                if executor is not None:
-                    executor.current_task = None
-                    if executor.state is not revoked:
-                        executor.state = idle
-                        machine = executor.machine
-                        machine.idle_count += 1
-                        machine._free_stack.append(executor)
-                        cluster._free_count += 1
-                    inst.executor = None
-                sr.n_finalized += 1
-                if sr.n_finalized == n_instances and not sr.completed:
-                    self._on_stage_completed(sr)
-                # A pump with an empty request queue cannot grant anything;
-                # skipping it here is observationally identical.  (_queue is
-                # re-read each pass: schedule() rebinds it when pruning.)
-                if scheduler._queue:
-                    self._pump_scheduler()
-        finally:
-            sim._now = outer
-            self._outer_now = None
-            self._flushing = False
 
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
     def _on_task_finish(self, inst: TaskInstance) -> None:
         inst.event_scheduled = False
-        job_run = inst.stage_run.job_run
-        if job_run.aborted or job_run.failed or inst.state == TaskState.DEAD:
+        sr = inst.stage_run
+        job_run = sr.job_run
+        if job_run.aborted or job_run.failed or inst.state is TaskState.DEAD:
             return
-        if inst.finish_time == math.inf:
+        finish = inst.finish_time
+        if finish == math.inf:
             # Suspended by a machine crash; recovery will reschedule.
             return
-        if inst.finish_time > self.sim.now + _EPS:
+        if finish > self.sim.now + _EPS:
             # Recovery moved the finish; chase it.
             self._schedule_finish(inst)
             return
-        if inst.state != TaskState.DISPATCHED:
+        if inst.state is not TaskState.DISPATCHED:
             return
         inst.state = TaskState.FINISHED
-        self._finalize_instance(inst)
-        sr = inst.stage_run
-        sr.n_finalized += 1
-        if sr.n_finalized == len(sr.instances) and not sr.completed:
-            self._on_stage_completed(sr)
-        self._pump_scheduler()
-
-    def _finalize_instance(self, inst: TaskInstance) -> None:
-        sr = inst.stage_run
-        metrics = sr.job_run.metrics
-        timing = TaskTiming(
-            job_id=sr.job_run.job.job_id,
-            stage=sr.name,
-            index=inst.index,
-            attempt=inst.attempt,
-            plan_arrive=inst.plan_arrive,
-            data_arrive=min(inst.data_arrive, inst.finish_time),
-            finish=inst.finish_time,
-            launch_time=inst.launch,
-            shuffle_read_time=inst.read,
-            processing_time=inst.proc,
-            shuffle_write_time=inst.write,
+        job_id = job_run.job.job_id
+        plan_arrive = inst.plan_arrive
+        data_arrive = inst.data_arrive
+        job_run.metrics.tasks.append(
+            TaskTiming(
+                job_id, sr.name, inst.index, inst.attempt, plan_arrive,
+                data_arrive if data_arrive < finish else finish, finish,
+                inst.launch, inst.read, inst.proc, inst.write,
+            )
         )
-        metrics.tasks.append(timing)
-        self.busy_intervals.append((inst.plan_arrive, inst.finish_time))
+        self.busy_intervals.append((plan_arrive, finish))
         if self.tracer.enabled:
             self.tracer.task_span(
-                sr.name, sr.job_run.job.job_id, inst.index, inst.attempt,
-                inst.plan_arrive, inst.data_arrive, inst.finish_time,
+                sr.name, job_id, inst.index, inst.attempt,
+                plan_arrive, data_arrive, finish,
                 inst.launch, inst.read, inst.proc, inst.write,
             )
         if inst.executor is not None:
             inst.executor.release()
             inst.executor = None
-
+        sr.n_finalized += 1
+        if sr.n_finalized == len(sr.instances) and not sr.completed:
+            self._on_stage_completed(sr)
+        # A pump with an empty request queue cannot grant anything.
+        if self.scheduler._queue:
+            self._pump_scheduler()
 
     def _on_stage_completed(self, sr: StageRun) -> None:
         sr.completed = True
@@ -1646,6 +1394,12 @@ class SwiftRuntime:
                 continue
             # The dead worker can no longer serve reads for this edge.
             groups = self._edge_cw_machines.get((entry_job_id, edge_key))
+            if groups is not None and not any(
+                machine.machine_id in group for group in groups
+            ):
+                # A superseded copy: a producer rerun rewrote the edge onto
+                # new replica groups, so this one served no reads.
+                continue
             share_lost = groups is None
             survivors = 0
             if groups is not None:

@@ -61,10 +61,6 @@ class ResourceScheduler:
         self._queue: list[ReqItem] = []
         self._next_id = 0
         self.grants_made = 0
-        #: Set by the runtime's no-failure fast path: every machine stays
-        #: healthy, so executor assignment can update states and idle
-        #: counters in bulk instead of per-executor ``assign`` calls.
-        self.fast_ops = False
         #: Head-of-line gang size we last failed to satisfy; while the free
         #: pool stays below it (and the queue is unchanged) scheduling is a
         #: guaranteed no-op, so ``schedule`` returns immediately.
@@ -177,27 +173,23 @@ class ResourceScheduler:
             executors = self._pick_executors(item, take)
             if executors is None:
                 continue
-            if self.fast_ops:
-                # Bulk state update; identical end state to per-executor
-                # assign() when no machine is quarantined (fast-path
-                # invariant: no failures, every machine accepts tasks).
-                assigned = ExecutorState.ASSIGNED
-                for executor in executors:
-                    executor.state = assigned
-                    executor.current_task = item
-                    machine = executor.machine
-                    machine.idle_count -= 1
-                    stack = machine._free_stack
-                    # Picks consume each stack top-first, so this is almost
-                    # always a pop from the end.
-                    if stack[-1] is executor:
-                        stack.pop()
-                    else:
-                        stack.remove(executor)
-                self.cluster._free_count -= len(executors)
-            else:
-                for executor in executors:
-                    executor.assign(item)
+            # Bulk state update, with the same end state as per-executor
+            # assign(): picks only draw IDLE executors from the free stacks
+            # of schedulable machines, so every one leaves the free pool.
+            assigned = ExecutorState.ASSIGNED
+            for executor in executors:
+                executor.state = assigned
+                executor.current_task = item
+                machine = executor.machine
+                machine.idle_count -= 1
+                stack = machine._free_stack
+                # Picks consume each stack top-first, so this is almost
+                # always a pop from the end.
+                if stack[-1] is executor:
+                    stack.pop()
+                else:
+                    stack.remove(executor)
+            self.cluster._free_count -= len(executors)
             item.remaining -= len(executors)
             if item.remaining == 0:
                 item.granted = True

@@ -1,18 +1,18 @@
-"""Substrate benchmarks: event kernel, fast path, and parallel harness.
+"""Substrate benchmarks: event kernel, end-to-end runtime, and parallel harness.
 
 ``python -m repro bench`` runs these scenarios and writes
-``BENCH_simulator.json`` so the fast-path speedup is tracked in-repo
+``BENCH_simulator.json`` so the array kernel's speedup is tracked in-repo
 against the legacy kernel measured in the same file:
 
 * **event_engine** — raw event throughput of the simulation kernel.
 * **cancel_heavy** — throughput when most scheduled events are cancelled
   (exercises lazy deletion + heap compaction).
-* **terasort** — end-to-end simulation rate of a 100x100 Terasort job.
-  The baseline is the legacy one-event-per-task kernel
-  (``fast_path=False``) driven by the pre-fast-path ``peek``/``step``
-  loop; the measured run uses the finish-ledger fast path.  Results of
-  the two kernels are byte-identical (see the determinism tests) — only
-  the wall-clock differs.
+* **terasort** — end-to-end simulation rate of a 100x100 Terasort job
+  through the runtime.  The baseline runs on the legacy object-heap
+  kernel driven by its ``peek``/``step`` loop; the measured run uses the
+  array kernel and ``run()``.  Results of the two kernels are
+  byte-identical (see the determinism tests) — only the wall-clock
+  differs.
 * **parallel_replay** — wall-clock of a three-system trace replay,
   serial vs fanned across worker processes.
 * **tracing** — Terasort simulation rate with the tracer disabled (the
@@ -132,14 +132,12 @@ def bench_cancel_heavy(
     }
 
 
-def _run_terasort(m: int, n: int, fast_path: bool, peek_step: bool) -> int:
-    """One Terasort run; returns the task count.  ``peek_step`` drives the
-    simulation with the pre-fast-path peek/step loop (the legacy driver)."""
-    runtime = SwiftRuntime(
-        Cluster.build(20, 16), swift_policy(), fast_path=fast_path
-    )
+def _run_terasort(m: int, n: int, kernel: str) -> int:
+    """One Terasort run on ``kernel``; returns the task count.  The legacy
+    kernel is driven by its peek/step loop, the array kernel by ``run()``."""
+    runtime = SwiftRuntime(Cluster.build(20, 16), swift_policy(), kernel=kernel)
     runtime.submit(terasort.terasort_job(m, n))
-    if peek_step:
+    if kernel == "legacy":
         sim = runtime.sim
         while sim.peek_time() is not None:
             sim.step()
@@ -150,30 +148,24 @@ def _run_terasort(m: int, n: int, fast_path: bool, peek_step: bool) -> int:
 
 
 def bench_terasort(m: int = 100, n: int = 100, rounds: int = 5) -> dict[str, float]:
-    """End-to-end simulation rate: legacy kernel baseline vs fast path."""
-    base_s, tasks = _min_time(
-        lambda: _run_terasort(m, n, fast_path=False, peek_step=True), rounds
-    )
-    fast_s, fast_tasks = _min_time(
-        lambda: _run_terasort(m, n, fast_path=True, peek_step=False), rounds
-    )
-    assert tasks == fast_tasks
+    """End-to-end simulation rate: legacy kernel baseline vs array kernel."""
+    base_s, tasks = _min_time(lambda: _run_terasort(m, n, "legacy"), rounds)
+    array_s, array_tasks = _min_time(lambda: _run_terasort(m, n, "array"), rounds)
+    assert tasks == array_tasks
     return {
         "job": f"terasort_{m}x{n}",
         "tasks": tasks,
         "baseline_ms": 1e3 * base_s,
-        "fast_ms": 1e3 * fast_s,
+        "array_ms": 1e3 * array_s,
         "baseline_tasks_per_s": tasks / base_s,
-        "fast_tasks_per_s": tasks / fast_s,
-        "speedup": base_s / fast_s,
+        "array_tasks_per_s": tasks / array_s,
+        "speedup": base_s / array_s,
     }
 
 
 def _run_traced_terasort(m: int, n: int, tracer: Optional[Tracer]) -> int:
-    """One fast-path Terasort run with ``tracer`` threaded through."""
-    runtime = SwiftRuntime(
-        Cluster.build(20, 16), swift_policy(), fast_path=True, tracer=tracer
-    )
+    """One Terasort run with ``tracer`` threaded through."""
+    runtime = SwiftRuntime(Cluster.build(20, 16), swift_policy(), tracer=tracer)
     runtime.submit(terasort.terasort_job(m, n))
     results = runtime.run()
     return len(results[0].metrics.tasks)
@@ -290,10 +282,8 @@ def _run_scale_replay(kernel: str, jobs: list, n_machines: int, executors: int) 
     runtime = SwiftRuntime(
         Cluster.build(n_machines, executors),
         swift_policy(),
-        # The legacy per-task-event path: every task launch/finish flows
-        # through the kernel queue, which is exactly what this scenario
-        # measures (the finish-ledger fast path bypasses the kernel).
-        fast_path=False,
+        # Every task finish is a kernel event, so the replay exercises the
+        # kernel queue at the trace's real depths.
         kernel=kernel,
     )
     runtime.submit_all(jobs)
@@ -962,7 +952,7 @@ def run_benchmarks(
             assert isinstance(first, dict)
             if second["events_per_s"] > first["events_per_s"]:
                 payload[key] = second
-    say("terasort fast path vs legacy kernel ...")
+    say("terasort array vs legacy kernel ...")
     payload["terasort"] = bench_terasort(rounds=rounds)
     say("tracing disabled vs recording ...")
     payload["tracing"] = bench_tracing(rounds=rounds)

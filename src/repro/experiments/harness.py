@@ -95,16 +95,13 @@ def run_jobs(
     config: Optional[SimConfig] = None,
     failure_plan: Optional[FailurePlan] = None,
     reference_duration: float = 100.0,
-    fast_path: bool = True,
     tracer: Optional[Tracer] = None,
 ) -> tuple[list[JobResult], SwiftRuntime]:
     """Execute ``jobs`` under ``policy`` on a fresh cluster.
 
     Returns the per-job results and the runtime (for utilization series,
-    admin stats, and other cross-job introspection).  ``fast_path=False``
-    forces the legacy one-event-per-task kernel (results are identical; see
-    the determinism tests).  ``tracer`` threads an observability hook
-    through the run (see :mod:`repro.obs`).
+    admin stats, and other cross-job introspection).  ``tracer`` threads an
+    observability hook through the run (see :mod:`repro.obs`).
     """
     cluster = build_cluster(n_machines, executors_per_machine, config)
     runtime = SwiftRuntime(
@@ -113,7 +110,6 @@ def run_jobs(
         config=config,
         failure_plan=failure_plan,
         reference_duration=reference_duration,
-        fast_path=fast_path,
         tracer=tracer,
     )
     runtime.submit_all(list(jobs))
@@ -129,7 +125,6 @@ def run_single(
     config: Optional[SimConfig] = None,
     failure_plan: Optional[FailurePlan] = None,
     reference_duration: float = 100.0,
-    fast_path: bool = True,
     tracer: Optional[Tracer] = None,
 ) -> JobResult:
     """Execute one job on a fresh cluster and return its result."""
@@ -141,7 +136,6 @@ def run_single(
         config,
         failure_plan,
         reference_duration,
-        fast_path,
         tracer,
     )
     if not results:

@@ -199,7 +199,7 @@ class JobGateway:
             tracer.instant(
                 Category.TENANT,
                 "tenant.registered",
-                self.runtime.event_now(),
+                self.runtime.sim.now,
                 scope=spec.name,
                 weight=spec.weight,
                 priority=spec.priority,
@@ -231,9 +231,8 @@ class JobGateway:
     def submit_trace(self, jobs: Sequence[Job]) -> list[JobEntry]:
         """Bulk-schedule an arrival trace (one ``schedule_batch`` call)."""
         entries = [self._make_entry(job, None, None) for job in jobs]
-        now = self.runtime.sim.now
         self.runtime.sim.schedule_batch(
-            [(entry.arrival - now, self._on_arrival, (entry,)) for entry in entries]
+            [(entry.arrival, self._on_arrival, (entry,)) for entry in entries]
         )
         return entries
 
@@ -244,7 +243,7 @@ class JobGateway:
         resolved_deadline = deadline if deadline is not None else job.deadline
         job.tenant = resolved_tenant
         job.deadline = resolved_deadline
-        arrival = max(job.submit_time, self.runtime.event_now())
+        arrival = max(job.submit_time, self.runtime.sim.now)
         self._seq += 1
         entry = JobEntry(
             seq=self._seq,
@@ -267,10 +266,7 @@ class JobGateway:
     # Arrival + admission
     # ------------------------------------------------------------------
     def _on_arrival(self, entry: JobEntry) -> None:
-        # Observe exact cluster state: catch up deferred fast-path finishes
-        # strictly before this arrival (mirrors _on_job_submitted).
-        self.runtime._flush_finishes(strict=True)
-        now = self.runtime.event_now()
+        now = self.runtime.sim.now
         tracer = self.runtime.tracer
         if tracer.enabled:
             tracer.count("gateway_arrivals")
@@ -390,7 +386,7 @@ class JobGateway:
         return best
 
     def _dispatch(self) -> None:
-        now = self.runtime.event_now()
+        now = self.runtime.sim.now
         budget = self.runtime.cluster.total_executors() - self.claimed_slots
         batch: list[Job] = []
         tracer = self.runtime.tracer
@@ -427,8 +423,8 @@ class JobGateway:
             self.runtime.submit_all(batch)
 
     def _schedule_dispatch(self) -> None:
-        """Queue a deduped dispatch event at the safe current time."""
-        at = self.runtime.event_now()
+        """Queue a deduped dispatch event at the current time."""
+        at = self.runtime.sim.now
         if self._dispatch_at is not None and self._dispatch_at <= at:
             return
         self._dispatch_at = at

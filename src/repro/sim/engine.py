@@ -15,7 +15,7 @@ Two kernels share the same interface:
   struct-of-arrays storage (a seq validity array keyed into a callback+args
   table); cancellation is a bitmask over slots, and slots are recycled
   through a free stack.  ``schedule_batch`` amortises heap maintenance for
-  bulk producers (trace replay, the runtime's finish ledger).
+  bulk producers (trace replay, the runtime's per-stage task finishes).
 * :class:`LegacySimulator` — the original per-``Event``-object heap, kept as
   a differential oracle (``tests/test_determinism.py`` drives random
   interleavings through both and asserts identical behaviour) and as the
@@ -53,7 +53,7 @@ PRIORITY_LOW = 20
 #: Below this queue size compaction is never worth the rebuild.
 _COMPACT_MIN_QUEUE = 64
 
-#: One batched schedule item: ``(delay, callback, args)``.
+#: One batched schedule item: ``(time, callback, args)``, ``time`` absolute.
 BatchItem = Tuple[float, Callable[..., Any], tuple]
 
 
@@ -201,25 +201,30 @@ class Simulator:
         *,
         priority: int = PRIORITY_NORMAL,
     ) -> int:
-        """Bulk-schedule ``(delay, callback, args)`` triples; returns count.
+        """Bulk-schedule ``(time, callback, args)`` triples; returns count.
 
-        No handles are returned — batched events cannot be cancelled
-        individually, which is exactly the contract bulk producers (trace
-        arrivals, finish ledgers) want.  Heap maintenance is amortised: for
-        large batches the entries are appended and the heap rebuilt once
-        (O(n + k)) instead of k pushes (O(k log n)).
+        Times are absolute, like :meth:`schedule_at`, so an event lands
+        exactly on a precomputed time (``now + (t - now)`` can round away
+        from ``t``).  No handles are returned — batched events cannot be
+        cancelled individually, which is exactly the contract bulk
+        producers (trace arrivals, a stage's task finishes) want.  Heap
+        maintenance is amortised: for large batches the entries are
+        appended and the heap rebuilt once (O(n + k)) instead of k pushes
+        (O(k log n)).
         """
         heap = self._heap
         now = self._now
         seq = self._seq
         appended = 0
         entries: list[tuple[float, int, int, int]] = []
-        for delay, callback, args in items:
-            if delay < 0:
-                raise ValueError(f"cannot schedule into the past (delay={delay})")
+        for time, callback, args in items:
+            if time < now:
+                raise ValueError(
+                    f"cannot schedule into the past (time={time}, now={now})"
+                )
             seq += 1
             slot = self._alloc_slot(seq, callback, args)
-            entries.append((now + delay, priority, seq, slot))
+            entries.append((time, priority, seq, slot))
             appended += 1
         self._seq = seq
         if not appended:
@@ -527,10 +532,10 @@ class LegacySimulator(Simulator):
         *,
         priority: int = PRIORITY_NORMAL,
     ) -> int:
-        """Bulk-schedule ``(delay, callback, args)`` triples; returns count."""
+        """Bulk-schedule ``(time, callback, args)`` triples; returns count."""
         appended = 0
-        for delay, callback, args in items:
-            self.schedule(delay, callback, *args, priority=priority)
+        for time, callback, args in items:
+            self.schedule_at(time, callback, *args, priority=priority)
             appended += 1
         return appended
 

@@ -31,7 +31,7 @@ def _small_config(**overrides) -> RuntimeConfig:
 # ----------------------------------------------------------------------
 
 def test_config_dict_round_trip_is_exact():
-    config = _small_config(reference_duration=50.0, fast_path=False)
+    config = _small_config(reference_duration=50.0, audit=True)
     config.sim.seed = 7
     config.failure_plan.add(FailureSpec(
         kind=FailureKind.TASK_CRASH, stage="M1", at_fraction=0.5,
@@ -39,6 +39,9 @@ def test_config_dict_round_trip_is_exact():
     payload = config.to_dict()
     rebuilt = RuntimeConfig.from_dict(payload)
     assert rebuilt.to_dict() == payload
+    # Payloads saved before a field was retired still load: keys that are
+    # no longer fields are ignored.
+    assert RuntimeConfig.from_dict({**payload, "retired_flag": False}).to_dict() == payload
 
 
 def test_config_survives_json_serialization():

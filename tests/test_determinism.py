@@ -5,9 +5,8 @@ Two invariants the performance work must never break:
 * The parallel cell harness returns byte-identical experiment rows for
   any worker count (``--jobs N`` is a wall-clock knob, not a semantic
   one).
-* The runtime's finish-ledger fast path produces JobMetrics identical to
-  the legacy one-event-per-task kernel, for every policy and with or
-  without injected failures.
+* The result-neutral knobs (event kernel, tracing, audit) never change
+  JobMetrics, for every policy and with or without injected failures.
 * Tracing observes without steering: a run with a RecordingTracer
   attached produces byte-identical results to an untraced run, and the
   tracer's task spans reproduce the runtime's busy intervals exactly.
@@ -15,15 +14,17 @@ Two invariants the performance work must never break:
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from repro.baselines import bubble_policy, jetscope_policy, restart_policy
 from repro.core.policies import swift_policy
+from repro.core.runtime import SwiftRuntime
 from repro.obs import RecordingTracer
 from repro.experiments import figures
-from repro.experiments.harness import run_jobs
+from repro.experiments.harness import build_cluster
 from repro.experiments.parallel import clear_memory_cache, set_default_jobs
 from repro.sim.failures import sample_trace_failures
 from repro.workloads import traces
@@ -66,59 +67,71 @@ def _failure_plan(jobs):
     )
 
 
+def _replay(make_policy, jobs, plan, *, kernel="array", tracer=None, audit=False):
+    """``run_jobs`` with the result-neutral knobs exposed."""
+    runtime = SwiftRuntime(
+        build_cluster(),
+        make_policy(),
+        failure_plan=plan,
+        kernel=kernel,
+        tracer=tracer,
+        audit=audit,
+    )
+    runtime.submit_all(list(jobs))
+    return runtime.run(), runtime
+
+
+def _assert_same_run(expected, actual):
+    (expected_results, expected_rt), (actual_results, actual_rt) = expected, actual
+    assert len(actual_results) == len(expected_results)
+    for want, got in zip(expected_results, actual_results):
+        assert got.job_id == want.job_id
+        assert got.completed == want.completed
+        assert got.metrics == want.metrics
+    assert actual_rt.busy_intervals == expected_rt.busy_intervals
+    assert actual_rt.admin.stats.__dict__ == expected_rt.admin.stats.__dict__
+
+
 @pytest.mark.parametrize("make_policy", [swift_policy, jetscope_policy, bubble_policy])
 @pytest.mark.parametrize("with_failures", [False, True])
-def test_fast_path_matches_legacy_kernel(make_policy, with_failures):
-    """The finish-ledger fast path is an optimization, not a model change:
-    JobMetrics (timestamps, phase times, attempts) must match the legacy
-    per-task-event kernel exactly."""
+def test_result_neutral_knobs(make_policy, with_failures):
+    """Kernel choice, tracing and audit are observation or implementation
+    knobs, not model changes: every combination reproduces the plain
+    array-kernel run's JobMetrics (timestamps, phase times, attempts), busy
+    intervals and admin stats exactly, with or without injected failures."""
     jobs = traces.generate_trace(
         traces.TraceConfig(n_jobs=8, mean_interarrival=0.2)
     )
     plan = _failure_plan(jobs) if with_failures else None
-    fast_results, fast_rt = run_jobs(
-        make_policy(), jobs, failure_plan=plan, fast_path=True
-    )
-    legacy_results, legacy_rt = run_jobs(
-        make_policy(), jobs, failure_plan=plan, fast_path=False
-    )
-    assert len(fast_results) == len(legacy_results) == len(jobs)
-    for fast, legacy in zip(fast_results, legacy_results):
-        assert fast.job_id == legacy.job_id
-        assert fast.completed == legacy.completed
-        assert fast.metrics == legacy.metrics
-    assert fast_rt.busy_intervals == legacy_rt.busy_intervals
-    assert fast_rt.admin.stats.__dict__ == legacy_rt.admin.stats.__dict__
+    reference = _replay(make_policy, jobs, plan)
+    for kernel, traced, audit in itertools.product(
+        ("array", "legacy"), (False, True), (False, True)
+    ):
+        tracer = RecordingTracer() if traced else None
+        run = _replay(
+            make_policy, jobs, plan, kernel=kernel, tracer=tracer, audit=audit
+        )
+        _assert_same_run(reference, run)
 
 
 @pytest.mark.parametrize("make_policy", [swift_policy, restart_policy])
 @pytest.mark.parametrize("with_failures", [False, True])
-@pytest.mark.parametrize("fast_path", [True, False])
-def test_tracing_does_not_perturb_simulation(make_policy, with_failures, fast_path):
+@pytest.mark.parametrize("audit", [True, False])
+def test_tracing_does_not_perturb_simulation(make_policy, with_failures, audit):
     """Attaching a RecordingTracer is pure observation: results, busy
     intervals, and admin stats stay byte-identical, and the task-attempt
     spans reproduce the runtime's private busy_intervals list (the record
-    stream the figure scripts now consume)."""
+    stream the figure scripts now consume).  The audit ledger emits through
+    the same tracer, so both audit settings are covered."""
     jobs = traces.generate_trace(
         traces.TraceConfig(n_jobs=6, mean_interarrival=0.2)
     )
     plan = _failure_plan(jobs) if with_failures else None
-    plain_results, plain_rt = run_jobs(
-        make_policy(), jobs, failure_plan=plan, fast_path=fast_path
-    )
+    plain = _replay(make_policy, jobs, plan, audit=audit)
     tracer = RecordingTracer()
-    traced_results, traced_rt = run_jobs(
-        make_policy(), jobs, failure_plan=plan, fast_path=fast_path,
-        tracer=tracer,
-    )
-    assert len(plain_results) == len(traced_results)
-    for plain, traced in zip(plain_results, traced_results):
-        assert plain.job_id == traced.job_id
-        assert plain.completed == traced.completed
-        assert plain.metrics == traced.metrics
-    assert plain_rt.busy_intervals == traced_rt.busy_intervals
-    assert plain_rt.admin.stats.__dict__ == traced_rt.admin.stats.__dict__
-    assert tracer.task_intervals() == traced_rt.busy_intervals
+    traced = _replay(make_policy, jobs, plan, tracer=tracer, audit=audit)
+    _assert_same_run(plain, traced)
+    assert tracer.task_intervals() == traced[1].busy_intervals
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +192,7 @@ def test_kernels_agree_on_random_interleavings(ops):
             for sim, log in zip(sims, logs):
                 sim.schedule_batch(
                     [
-                        (delay, _recorder(log, tag + i, sim), ())
+                        (sim.now + delay, _recorder(log, tag + i, sim), ())
                         for i, delay in enumerate(delays)
                     ]
                 )

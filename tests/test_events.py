@@ -33,6 +33,22 @@ def test_event_log_capacity_bound():
     assert log.events[0].detail == "s7"
 
 
+def test_event_log_overflow_keeps_the_tail():
+    log = EventLog(capacity=3)
+    for i in range(1_000):
+        kind = EventKind.JOB_SUBMITTED if i % 2 else EventKind.JOB_COMPLETED
+        log.record(float(i), kind, f"j{i}")
+    assert len(log) == 3
+    assert log.dropped == 997
+    assert [e.job_id for e in log] == ["j997", "j998", "j999"]
+    assert [e.job_id for e in log.of_kind(EventKind.JOB_SUBMITTED)] == ["j997", "j999"]
+    assert log.for_job("j0") == []
+    assert log.first(EventKind.JOB_COMPLETED).job_id == "j998"
+    assert log.format_tail(2).splitlines() == [
+        str(log.events[1]), str(log.events[2])
+    ]
+
+
 def test_event_str_and_tail():
     event = RuntimeEvent(1.25, EventKind.UNIT_GRANTED, "job", "unit 1")
     assert "unit_granted" in str(event)

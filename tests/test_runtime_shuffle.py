@@ -214,3 +214,40 @@ def test_mode_switching_never_changes_results():
     assert "direct" in switched.metrics.shuffle_schemes.values()
     # ... yet both runs finalize exactly the same (stage, index) outputs.
     assert coverage(switched) == coverage(static)
+
+
+def test_loss_of_superseded_replica_is_neither_failover_nor_rerun():
+    """A producer rerun rewrites its cross-unit edge onto new replica
+    groups; the first write's copies stay in their Cache Workers.  Losing
+    a worker that holds only such a copy serves no reads, so it must log
+    no failover (there is no survivor to fail over to) and re-run nothing."""
+    from repro.chaos.campaign import Campaign, ChaosEvent
+    from repro.chaos.invariants import check_bounded_shuffle_recovery
+    from repro.core.events import EventKind
+
+    # 120x120 over 16x32: the edge lands on machines 0-3 with replicas on
+    # 4-7.  The src[0] crash at 1.21 s (before dst reads) re-runs it, and
+    # the rewrite at ~2.68 s places the replicas on 8-11.  Machine 5 is
+    # lost at 3.0 s, while dst still runs.
+    events = [
+        ChaosEvent(kind=FailureKind.TASK_CRASH.value, at_fraction=0.121,
+                   stage="src", task_index=0),
+        ChaosEvent(kind=FailureKind.CACHE_WORKER_LOSS.value, at_fraction=0.3,
+                   machine_id=5),
+    ]
+    campaign = Campaign(seed=0, workload="terasort", profile="light",
+                        events=events)
+    runtime = SwiftRuntime(
+        Cluster.build(16, 32), swift_policy(),
+        failure_plan=campaign.to_failure_plan(), reference_duration=10.0,
+    )
+    result = runtime.execute(as_job(wide_barrier_dag(120, 120)))
+    assert result.completed
+    rewrites = runtime.events.of_kind(EventKind.STAGE_COMPLETED)
+    assert [e.detail for e in rewrites] == ["src", "src", "dst"]
+    lost = runtime.events.first(EventKind.CACHE_WORKER_LOST)
+    assert lost.detail == "machine 5 (1 entries)"
+    assert rewrites[1].time < lost.time < rewrites[2].time
+    assert check_bounded_shuffle_recovery(campaign, runtime) == []
+    assert runtime.shuffle_recovery_log == []
+    assert result.metrics.task_reruns == 1

@@ -237,6 +237,19 @@ def test_schedule_batch_large_batch_heapifies(make_sim):
     assert seen == sorted(range(200), key=lambda i: (float((7 * i) % 50), i))
 
 
+def test_schedule_batch_times_are_absolute(make_sim):
+    """Mid-run batches land exactly on the given times: 0.7 + (2.9 - 0.7)
+    rounds to 2.9000000000000004, so a delay-based batch would not."""
+    sim = make_sim()
+    seen: list[float] = []
+    sim.schedule_at(0.7, lambda: sim.schedule_batch([
+        (2.9, lambda: seen.append(sim.now), ()),
+        (0.7, lambda: seen.append(sim.now), ()),
+    ]))
+    sim.run()
+    assert seen == [0.7, 2.9]
+
+
 def test_schedule_batch_rejects_negative_delay(make_sim):
     sim = make_sim()
     with pytest.raises(ValueError):
