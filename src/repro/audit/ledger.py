@@ -349,11 +349,13 @@ class ResourceLedger:
                 shadow.entries = len(worker)
 
     def reconcile_executors(self, cluster: "Cluster", checkpoint: str) -> None:
-        """O(1) free-slot counter vs a recount over the executor pool.
+        """O(1) free-slot counter and the load index vs a recount over the
+        executor pool.
 
-        The scheduler's bulk executor assignment mutates idle counters
-        inline (bypassing the executor state machine), so this catches any
-        unrolled transition that forgot its counter half.
+        The scheduler's bulk executor assignment bypasses the executor
+        state machine, so this catches any unrolled transition that forgot
+        its counter half, and any that left the cluster's (load, id) index
+        out of step with the schedulable machines.
         """
         from ..sim.cluster import ExecutorState
 
@@ -387,6 +389,21 @@ class ResourceLedger:
                     expected=idle,
                     actual=machine.idle_count,
                 )
+        expected_index = sorted(
+            (machine.load(), machine.machine_id)
+            for machine in cluster.machines
+            if machine.accepts_tasks
+        )
+        index = cluster.load_index()
+        if index != expected_index:
+            self._violate(
+                "executor_slots",
+                "load index diverged from the schedulable machines' "
+                "(load, id) order",
+                checkpoint=checkpoint,
+                expected=len(expected_index),
+                actual=len(index),
+            )
 
     def reconcile(
         self,

@@ -329,6 +329,13 @@ def _print_scale_summary(scale: dict) -> None:
           f"{scale['events_per_s']:,.0f} events/s, peak queue "
           f"{scale['kernel_peak_pending']:,} "
           f"({scale['kernel_speedup']:.2f}x over legacy)")
+    from .experiments.bench import REPLAY_SCALING_CEILING
+
+    small, large = scale["scaling_machines"]
+    small_s, large_s = scale["scaling_wall_s"]
+    print(f"scale scaling: {small:,} -> {large:,} machines in "
+          f"{small_s:.2f}s -> {large_s:.2f}s "
+          f"({scale['replay_scaling']:.2f}x, gate < {REPLAY_SCALING_CEILING:.2f}x)")
 
 
 def _print_service_summary(service: dict) -> None:

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 from ..audit.ledger import ResourceLedger
 from ..obs.records import Category
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..sim.cluster import Cluster, Executor, ExecutorState
+from ..sim.cluster import Cluster, Executor, ExecutorState, Machine
 from ..sim.config import SimConfig
 from ..sim.engine import LegacySimulator, Simulator
 from ..sim.failures import FailureKind, FailurePlan, FailureSpec
@@ -268,6 +268,11 @@ class SwiftRuntime:
         #: consumer-side cost computation always agree.
         self.mode_controller = ShuffleModeController(self.config.shuffle)
         self._edge_mode_decisions: dict[tuple[str, str], ModeDecision] = {}
+        #: ``_cache_utilization``'s view of the live Cache Workers, keyed on
+        #: the identity of the cluster's cached alive list.
+        self._cw_alive: Optional[list[Machine]] = None
+        self._cw_workers: list[CacheWorker] = []
+        self._cw_capacity = 0.0
         #: Structured record of every shuffle-loss recovery action —
         #: ``{"job_id", "edge_key", "machine_id", "survivors", "action"}``
         #: with action ``"failover"`` (replica served the share, no rerun)
@@ -637,14 +642,26 @@ class SwiftRuntime:
         return self.policy.pipelined_execution
 
     def _cache_utilization(self) -> float:
-        """Mean in-memory utilization of the live Cache Workers (0..1)."""
-        used = capacity = 0.0
-        for machine in self.cluster.alive_machines():
-            worker = machine.cache_worker
-            if worker is None:
-                continue
-            used += worker.memory_used
-            capacity += worker.config.memory_capacity
+        """Mean in-memory utilization of the live Cache Workers (0..1).
+
+        Sums in machine order, as a fresh pass over the alive machines
+        would, so the result is bit-identical to one; the worker list and
+        the capacity total are rebuilt only when the cluster's cached alive
+        list changes (a health transition).
+        """
+        alive = self.cluster.alive_machines()
+        if alive is not self._cw_alive:
+            workers: list[CacheWorker] = [
+                m.cache_worker for m in alive if m.cache_worker is not None  # type: ignore[misc]
+            ]
+            capacity = 0.0
+            for worker in workers:
+                capacity += worker.config.memory_capacity
+            self._cw_alive, self._cw_workers, self._cw_capacity = alive, workers, capacity
+        used = 0.0
+        for worker in self._cw_workers:
+            used += worker.bytes_in_memory
+        capacity = self._cw_capacity
         return used / capacity if capacity > 0 else 0.0
 
     def _edge_scheme(self, job_run: JobRun, edge: Edge, cross_unit: bool) -> ShuffleScheme:

@@ -13,8 +13,9 @@ that fits entirely (gang semantics: all-or-nothing per unit).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, nsmallest
-from typing import Callable, Optional
+from heapq import heapify, heappop, heappush
+from itertools import islice
+from typing import Optional
 
 from ..sim.cluster import Cluster, Executor, ExecutorState, Machine
 
@@ -181,7 +182,6 @@ class ResourceScheduler:
                 executor.state = assigned
                 executor.current_task = item
                 machine = executor.machine
-                machine.idle_count -= 1
                 stack = machine._free_stack
                 # Picks consume each stack top-first, so this is almost
                 # always a pop from the end.
@@ -189,7 +189,7 @@ class ResourceScheduler:
                     stack.pop()
                 else:
                     stack.remove(executor)
-            self.cluster._free_count -= len(executors)
+                machine._adjust_idle(-1)
             item.remaining -= len(executors)
             if item.remaining == 0:
                 item.granted = True
@@ -202,41 +202,34 @@ class ResourceScheduler:
     def _pick_executors(self, item: ReqItem, needed: int) -> Optional[list[Executor]]:
         """Choose ``needed`` executors: locality first, then least-loaded."""
         chosen: list[Executor] = []
+        cluster = self.cluster
 
-        # Locality pass: take free executors on preferred machines first.
+        # Locality pass: take free executors on preferred machines first,
+        # in cluster order.  Only the k preferred machines are visited.
         # Executors come off the top of each machine's free stack so the
         # later state update pops instead of scanning.
         if item.locality:
-            preferred = {mid for mid in item.locality}
-            for machine in self.cluster.schedulable_machines():
-                if machine.machine_id not in preferred:
-                    continue
+            for machine in cluster.schedulable_among(item.locality):
                 for executor in reversed(machine._free_stack):
                     chosen.append(executor)
                     if len(chosen) == needed:
                         return chosen
 
         # Load pass: spread the remainder across the least-loaded machines,
-        # round-robin so no single machine is flocked.  A heap over the
-        # candidate machines yields them in (load, id) order one at a time,
-        # so a small grant pays O(M + grant log M) instead of the full
-        # O(M log M) sort.
-        cand = [
-            (machine.load(), machine.machine_id, machine)
-            for machine in self.cluster.schedulable_machines()
-            if machine.idle_count > 0
-        ]
-        n_idle_machines = len(cand)
-        heapify(cand)
+        # round-robin so no single machine is flocked.  The cluster's load
+        # index yields the machines with an idle executor in (load, id)
+        # order, lazily, so a grant touching p machines costs O(p + levels)
+        # rather than a pass over the cluster.
         chosen_ids = {id(e) for e in chosen}
         still_needed = needed - len(chosen)
-        # Spread target: same bound the eager sort used — enough machines
-        # for one-executor-per-machine when the cluster allows it.
-        target_pools = min(still_needed, n_idle_machines)
+        # Spread target: enough machines for one-executor-per-machine when
+        # the cluster allows it.
+        target_pools = min(still_needed, cluster.idle_machine_count())
         pools: list[list[Executor]] = []
         available = 0
-        while cand and (available < still_needed or len(pools) < target_pools):
-            machine = heappop(cand)[2]
+        for machine in cluster.machines_by_load(below=1.0):
+            if available >= still_needed and len(pools) >= target_pools:
+                break
             if chosen_ids:
                 pool = [
                     e for e in machine._free_stack if id(e) not in chosen_ids
@@ -275,6 +268,11 @@ def pick_replica_machines(
     assignment count so one idle machine does not absorb every group's
     replica.  Groups degrade gracefully: with fewer than two candidate
     machines the group is just its primary (v1 behaviour).
+
+    One heap over the pool, keyed in that order, serves every pick: a call
+    costs O(M + groups * replication_factor * log M) for M candidates.
+    Memory use is read once, which is exact because the writes happen
+    after placement.
     """
     groups = [[p] for p in primaries]
     if replication_factor <= 1:
@@ -283,35 +281,40 @@ def pick_replica_machines(
     if len(pool) < 2:
         return groups
     primary_ids = {p.machine_id for p in primaries}
-    assigned = {m.machine_id: 0 for m in pool}
+    heap = [
+        (
+            0,
+            m.machine_id in primary_ids,
+            m.cache_worker.memory_used,  # type: ignore[union-attr]
+            m.machine_id,
+            m,
+        )
+        for m in pool
+    ]
+    heapify(heap)
     for group in groups:
         in_group = {group[0].machine_id}
-        while len(group) < replication_factor:
-            best = min(
-                (m for m in pool if m.machine_id not in in_group),
-                key=lambda m: (
-                    assigned[m.machine_id],
-                    m.machine_id in primary_ids,
-                    m.cache_worker.memory_used,  # type: ignore[union-attr]
-                    m.machine_id,
-                ),
-                default=None,
-            )
-            if best is None:
-                break
-            group.append(best)
-            in_group.add(best.machine_id)
-            assigned[best.machine_id] += 1
+        # Entries already in this group wait here until it is filled.
+        stash = []
+        while len(group) < replication_factor and heap:
+            entry = heappop(heap)
+            machine = entry[4]
+            if machine.machine_id in in_group:
+                stash.append(entry)
+                continue
+            group.append(machine)
+            in_group.add(machine.machine_id)
+            heappush(heap, (entry[0] + 1,) + entry[1:])
+        for entry in stash:
+            heappush(heap, entry)
     return groups
 
 
-def pick_locality_machines(
-    cluster: Cluster, n_tasks: int, rng_choice: Callable[[list[Machine]], Machine] | None = None
-) -> tuple[int, ...]:
+def pick_locality_machines(cluster: Cluster, n_tasks: int) -> tuple[int, ...]:
     """Simple locality preference: the least-loaded machines that could host
     the scan tasks (data placement is uniform in the simulator, so locality
-    reduces to load spreading)."""
-    machines = cluster.schedulable_machines()
-    take = max(1, min(len(machines), -(-n_tasks // max(1, cluster.config.executors_per_machine))))
-    best = nsmallest(take, machines, key=lambda m: (m.load(), m.machine_id))
-    return tuple(m.machine_id for m in best)
+    reduces to load spreading).  Reads the first few entries of the
+    cluster's load index: O(take + levels)."""
+    per_machine = max(1, cluster.config.executors_per_machine)
+    take = max(1, -(-n_tasks // per_machine))
+    return tuple(m.machine_id for m in islice(cluster.machines_by_load(), take))

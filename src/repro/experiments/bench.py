@@ -334,10 +334,30 @@ def _replay_kernel_events(
     return sim.events_processed, sim.peak_pending
 
 
+def _replay_scaling(
+    jobs: list, sizes: tuple[int, int], executors: int, rounds: int
+) -> tuple[float, float]:
+    """Best-of-``rounds`` replay wall time of ``jobs`` at two cluster sizes.
+
+    The sizes alternate within each round, so a slow phase of a shared
+    host lands on both sides of the ratio instead of on one.
+    """
+    small_s = large_s = float("inf")
+    small, large = sizes
+    for _ in range(rounds):
+        small_s = min(small_s, _min_time(
+            lambda: _run_scale_replay("array", jobs, small, executors), 1
+        )[0])
+        large_s = min(large_s, _min_time(
+            lambda: _run_scale_replay("array", jobs, large, executors), 1
+        )[0])
+    return small_s, large_s
+
+
 def bench_scale(quick: bool = False, rounds: int = 2) -> dict[str, float]:
     """Paper-scale calibrated replay: 2,000 machines, Fig. 8 trace.
 
-    Two measurements share the same calibrated trace generator:
+    Three measurements share the same calibrated trace generator:
 
     * **end-to-end** — the full runtime replays the trace on a
       2,000-machine cluster through the per-task-event path, on the
@@ -347,8 +367,13 @@ def bench_scale(quick: bool = False, rounds: int = 2) -> dict[str, float]:
       events (plus a cancelled speculative shadow) drives both kernels
       directly; this is the paper-scale ``events_per_s`` headline and the
       undiluted kernel comparison.
+    * **scaling** — the end-to-end replay on 500 and 2,000 machines (200
+      and 800 in quick mode); ``replay_scaling`` is the wall-time ratio.
+      The trace is the same, so placement that stays O(k log M) per
+      decision keeps it near 1, and per-decision scans over the machines
+      push it past 2 on any host.
 
-    Quick mode shrinks the trace and cluster but keeps both measurements'
+    Quick mode shrinks the trace and cluster but keeps the measurements'
     structure, so ``--check`` ratios compare across modes.
     """
     n_machines = 200 if quick else PAPER_SCALE_MACHINES
@@ -385,6 +410,11 @@ def bench_scale(quick: bool = False, rounds: int = 2) -> dict[str, float]:
     executed, peak = stats  # type: ignore[misc]
     assert (executed, peak) == legacy_stats
 
+    # Quick mode keeps a 4x spread at sizes where a per-decision scan
+    # over the machines already dominates the replay.
+    sizes = (200, 800) if quick else (PAPER_SCALE_MACHINES // 4, PAPER_SCALE_MACHINES)
+    small_s, large_s = _replay_scaling(replay_jobs, sizes, executors, rounds=3)
+
     return {
         "n_machines": n_machines,
         "executors_per_machine": executors,
@@ -404,6 +434,9 @@ def bench_scale(quick: bool = False, rounds: int = 2) -> dict[str, float]:
         "kernel_legacy_wall_ms": 1e3 * legacy_kernel_s,
         "events_per_s": executed / kernel_s,
         "kernel_speedup": legacy_kernel_s / kernel_s,
+        "scaling_machines": list(sizes),
+        "scaling_wall_s": [small_s, large_s],
+        "replay_scaling": large_s / small_s,
     }
 
 
@@ -802,6 +835,8 @@ CHECK_METRICS: dict[str, tuple[str, ...]] = {
     # kernel-dominated.  replay_speedup stays ungated: the end-to-end
     # replay dilutes the kernel with scheduling work, so its ratio is too
     # close to 1 to separate regressions from timer noise on quick runs.
+    # Neither ratio sees a placement regression (both sides pay it), so
+    # replay_scaling gets an absolute ceiling below.
     "scale": ("kernel_speedup",),
     # SQL engines: only the row-vs-columnar speedup is gated — absolute
     # per-engine ms swing with host load, the ratio does not.  A fresh
@@ -828,6 +863,12 @@ CHECK_METRICS: dict[str, tuple[str, ...]] = {
 #: less than 10% wall-clock over direct ``submit_all`` (ISSUE 7
 #: acceptance gate), regardless of what the committed payload recorded.
 SERVICE_OVERHEAD_CEILING = 0.10
+
+#: Hard ceiling on ``scale.replay_scaling`` — the same trace replayed on
+#: 4x the machines must take less than 1.5x the wall time.  O(k log M)
+#: placement measures 1.04-1.14; per-decision scans over the machines
+#: measured 2.1-2.9 on the same host.
+REPLAY_SCALING_CEILING = 1.5
 
 #: Hard floor on ``shuffle.recovery_improvement`` — v2 (replicated
 #: failover) must recover strictly faster than v1 (producer reruns)
@@ -890,6 +931,15 @@ def compare_payloads(
             problems.append(
                 f"service.overhead_frac: fresh {overhead:.1%} >= "
                 f"{SERVICE_OVERHEAD_CEILING:.0%} gateway overhead budget"
+            )
+    scale = fresh.get("scale")
+    if isinstance(scale, dict) and "replay_scaling" in scale:
+        scaling = float(scale["replay_scaling"])
+        if scaling >= REPLAY_SCALING_CEILING:
+            problems.append(
+                f"scale.replay_scaling: fresh {scaling:.2f} >= "
+                f"{REPLAY_SCALING_CEILING:.2f} — replay wall time grows with "
+                "cluster size, so some placement path scans the machines"
             )
     shuffle = fresh.get("shuffle")
     if isinstance(shuffle, dict) and "recovery_improvement" in shuffle:

@@ -10,7 +10,8 @@ directly to DEAD on a machine crash.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Optional
+from bisect import bisect_left, insort
+from typing import Iterable, Iterator, Optional
 
 from .config import SimConfig
 from .disk import DiskModel
@@ -132,6 +133,9 @@ class Machine:
         self.active_transfers = 0
         #: Recent task failures, used by the health monitor.
         self.recent_failures: list[float] = []
+        #: This machine's level in the cluster's load index (its load when
+        #: last indexed), or ``None`` while it is not schedulable.
+        self._level: Optional[float] = None
 
     @property
     def accepts_tasks(self) -> bool:
@@ -144,9 +148,13 @@ class Machine:
         return self.state != MachineState.DEAD
 
     def _adjust_idle(self, delta: int) -> None:
+        """The one idle-count mutator: keeps the cluster's free-slot count
+        and load index in step with ``idle_count``."""
         self.idle_count += delta
-        if self._cluster is not None and self.accepts_tasks:
-            self._cluster._free_count += delta
+        cluster = self._cluster
+        if cluster is not None and self.accepts_tasks:
+            cluster._free_count += delta
+            cluster._reindex(self)
 
     def free_executors(self) -> list[Executor]:
         """Idle executors, empty when the machine is quarantined."""
@@ -166,18 +174,24 @@ class Machine:
         return self.busy_count() / len(self.executors)
 
     def _withdraw_from_pool(self) -> None:
-        """Remove this machine's idle executors from the cluster's pool
-        (called when the machine stops accepting tasks)."""
-        if self._cluster is not None and self.accepts_tasks:
-            self._cluster._free_count -= self.idle_count
+        """Remove this machine's idle executors and its load-index entry
+        from the cluster (called when the machine stops accepting tasks)."""
+        cluster = self._cluster
+        if cluster is not None and self.accepts_tasks:
+            cluster._free_count -= self.idle_count
+            cluster._index_remove(self)
+
+    def _invalidate_caches(self) -> None:
+        if self._cluster is not None:
+            self._cluster._schedulable_cache = None
+            self._cluster._alive_cache = None
 
     def mark_read_only(self) -> None:
         """Quarantine: drain existing tasks, accept no new ones."""
         if self.state == MachineState.HEALTHY or self.state == MachineState.UNHEALTHY:
             self._withdraw_from_pool()
             self.state = MachineState.READ_ONLY
-            if self._cluster is not None:
-                self._cluster._schedulable_cache = None
+            self._invalidate_caches()
 
     def mark_healthy(self) -> None:
         """Recover a quarantined/unhealthy machine: accept tasks again and
@@ -186,15 +200,15 @@ class Machine:
             self.state = MachineState.HEALTHY
             if self._cluster is not None:
                 self._cluster._free_count += self.idle_count
-                self._cluster._schedulable_cache = None
+                self._cluster._index_add(self, self.load())
+            self._invalidate_caches()
 
     def mark_dead(self) -> None:
         """Kill the machine and revoke all of its executors."""
         if self.state != MachineState.DEAD:
             self._withdraw_from_pool()
             self.state = MachineState.DEAD
-            if self._cluster is not None:
-                self._cluster._schedulable_cache = None
+            self._invalidate_caches()
             for executor in self.executors:
                 executor.revoke()
 
@@ -220,17 +234,35 @@ class Cluster:
         self.config = config
         self.network = NetworkModel(config.network, n_machines=len(machines))
         self.disk = DiskModel(config.disk)
+        #: Machine id -> position in ``machines`` (membership is fixed).
+        self._position = {m.machine_id: i for i, m in enumerate(machines)}
+        if len(self._position) != len(machines):
+            raise ValueError("machine ids must be unique within a cluster")
+        #: Load index over the schedulable machines: each exact
+        #: ``Machine.load()`` value maps to the sorted ids at that load, and
+        #: ``_level_keys`` holds the occupied loads in ascending order.  Only
+        #: ``Machine._adjust_idle`` and the ``mark_*`` transitions touch it,
+        #: at O(log M) bisects (plus a C-level list shift) per update.
+        self._levels: dict[float, list[int]] = {}
+        self._level_keys: list[float] = []
         self._free_count = 0
         for machine in machines:
             machine._cluster = self
             if machine.accepts_tasks:
                 self._free_count += machine.idle_count
+                machine._level = level = machine.load()
+                self._levels.setdefault(level, []).append(machine.machine_id)
+        for ids in self._levels.values():
+            ids.sort()
+        self._level_keys = sorted(self._levels)
         #: Machine membership is fixed after construction, so the slot total
         #: is a constant (queried on every request validation).
         self._total_executors = sum(len(m.executors) for m in machines)
-        #: Cache of :meth:`schedulable_machines`, invalidated by the
-        #: ``mark_*`` health transitions.  Callers must not mutate it.
+        #: Caches of :meth:`schedulable_machines` and :meth:`alive_machines`,
+        #: invalidated by the ``mark_*`` health transitions.  Callers must
+        #: not mutate them.
         self._schedulable_cache: Optional[list[Machine]] = None
+        self._alive_cache: Optional[list[Machine]] = None
 
     @classmethod
     def build(
@@ -260,8 +292,15 @@ class Cluster:
         return len(self.machines)
 
     def alive_machines(self) -> list[Machine]:
-        """Machines that have not died."""
-        return [m for m in self.machines if m.alive]
+        """Machines that have not died.
+
+        The list is cached between health transitions; callers must treat
+        it as read-only.
+        """
+        cached = self._alive_cache
+        if cached is None:
+            cached = self._alive_cache = [m for m in self.machines if m.alive]
+        return cached
 
     def schedulable_machines(self) -> list[Machine]:
         """Machines accepting new tasks (healthy only).
@@ -275,6 +314,71 @@ class Cluster:
                 m for m in self.machines if m.accepts_tasks
             ]
         return cached
+
+    # ------------------------------------------------------------------
+    # Load index
+    # ------------------------------------------------------------------
+    def _index_add(self, machine: Machine, level: float) -> None:
+        ids = self._levels.get(level)
+        if ids is None:
+            ids = self._levels[level] = []
+            insort(self._level_keys, level)
+        insort(ids, machine.machine_id)
+        machine._level = level
+
+    def _index_remove(self, machine: Machine) -> None:
+        level = machine._level
+        assert level is not None, f"machine {machine.machine_id} is not indexed"
+        ids = self._levels[level]
+        del ids[bisect_left(ids, machine.machine_id)]
+        if not ids:
+            del self._levels[level]
+            del self._level_keys[bisect_left(self._level_keys, level)]
+        machine._level = None
+
+    def _reindex(self, machine: Machine) -> None:
+        level = machine.load()
+        if level != machine._level:
+            self._index_remove(machine)
+            self._index_add(machine, level)
+
+    def machines_by_load(self, below: float = float("inf")) -> Iterator[Machine]:
+        """Schedulable machines in ascending ``(load, machine_id)`` order,
+        stopping before the first machine whose load is ``>= below``.
+
+        Lazy: taking the first k machines costs O(k) after an O(levels)
+        walk.  The index must not change while the iterator is live, so
+        consume it before assigning or releasing executors.
+        """
+        machines = self.machines
+        position = self._position
+        for level in self._level_keys:
+            if level >= below:
+                return
+            for machine_id in self._levels[level]:
+                yield machines[position[machine_id]]
+
+    def idle_machine_count(self) -> int:
+        """Schedulable machines with at least one idle executor (O(levels))."""
+        return sum(len(ids) for level, ids in self._levels.items() if level < 1.0)
+
+    def load_index(self) -> list[tuple[float, int]]:
+        """The load index flattened to ``(load, machine_id)`` pairs in
+        ascending order; equals ``sorted((m.load(), m.machine_id))`` over
+        the schedulable machines while the index is consistent."""
+        return [
+            (level, machine_id)
+            for level in self._level_keys
+            for machine_id in self._levels[level]
+        ]
+
+    def schedulable_among(self, machine_ids: Iterable[int]) -> list[Machine]:
+        """The schedulable machines whose ids are in ``machine_ids``, in
+        cluster order; unknown ids are ignored.  O(k log k) for k ids."""
+        position = self._position
+        found = sorted({position[i] for i in machine_ids if i in position})
+        machines = self.machines
+        return [machines[p] for p in found if machines[p].accepts_tasks]
 
     def total_executors(self) -> int:
         """Executor slots across all machines (fixed after construction)."""

@@ -23,7 +23,7 @@ from repro.core.policies import swift_policy
 from repro.core.runtime import SwiftRuntime
 from repro.obs.records import Category
 from repro.obs.tracer import RecordingTracer
-from repro.sim.cluster import Cluster
+from repro.sim.cluster import Cluster, ExecutorState
 from repro.sim.config import CacheWorkerConfig, DiskConfig, NetworkConfig
 from repro.sim.disk import DiskModel
 from repro.sim.network import NetworkModel
@@ -112,6 +112,25 @@ def test_cache_counter_drift_caught():
     worker.bytes_in_memory += 123.0  # seeded drift
     ledger.reconcile_cache_worker(worker, "checkpoint")
     assert any(v.resource == "cache_memory" for v in ledger.violations)
+
+
+def test_load_index_drift_caught():
+    cluster = Cluster.build(3, 2)
+    ledger = ResourceLedger(strict=False)
+    ledger.reconcile_executors(cluster, "clean")
+    assert ledger.ok
+    # A bulk-assign path that keeps the idle counters but writes them
+    # itself, skipping Machine._adjust_idle, leaves the index stale.
+    machine = cluster.machines[1]
+    executor = machine._free_stack.pop()
+    executor.state = ExecutorState.ASSIGNED
+    machine.idle_count -= 1
+    cluster._free_count -= 1
+    ledger.reconcile_executors(cluster, "drifted")
+    assert [v.resource for v in ledger.violations] == ["executor_slots"]
+    assert "load index" in ledger.violations[0].message
+    with pytest.raises(AuditError, match="load index"):
+        ResourceLedger(strict=True).reconcile_executors(cluster, "strict")
 
 
 def test_cache_release_balances():

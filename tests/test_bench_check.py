@@ -95,6 +95,17 @@ def test_scale_kernel_speedup_is_gated():
     assert "scale.kernel_speedup" in problems[0]
 
 
+def test_replay_scaling_ceiling_is_absolute():
+    # The cluster-size scaling ceiling fires on the fresh payload alone:
+    # a committed value that was already too high must not excuse it.
+    committed = {"scale": {"replay_scaling": 2.9}}
+    fresh_bad = {"scale": {"replay_scaling": 2.2}}
+    problems = compare_payloads(committed, fresh_bad)
+    assert len(problems) == 1
+    assert "scale.replay_scaling" in problems[0]
+    assert compare_payloads(committed, {"scale": {"replay_scaling": 1.05}}) == []
+
+
 def test_merge_payload_preserves_other_scenarios(tmp_path):
     import json
 

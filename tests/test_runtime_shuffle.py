@@ -12,7 +12,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.config import SimConfig
 from repro.sim.failures import FailureKind, FailurePlan, FailureSpec
 
-from conftest import as_job, chain_dag, make_stage
+from conftest import MB, as_job, chain_dag, make_stage
 from repro.core.dag import Edge, JobDAG
 
 
@@ -251,3 +251,29 @@ def test_loss_of_superseded_replica_is_neither_failover_nor_rerun():
     assert check_bounded_shuffle_recovery(campaign, runtime) == []
     assert runtime.shuffle_recovery_log == []
     assert result.metrics.task_reruns == 1
+
+
+def _fresh_cache_utilization(cluster: Cluster) -> float:
+    """Reference: one pass over the alive machines, summing in order."""
+    used = capacity = 0.0
+    for machine in cluster.machines:
+        worker = machine.cache_worker
+        if worker is None or not machine.alive:
+            continue
+        used += worker.memory_used
+        capacity += worker.config.memory_capacity
+    return used / capacity if capacity > 0 else 0.0
+
+
+def test_cache_utilization_is_bit_identical_to_a_fresh_pass():
+    # The mode controller reads this value, so the cached worker list must
+    # not change a single bit of it, across health transitions too.
+    runtime = SwiftRuntime(Cluster.build(6, 2), swift_policy())
+    cluster = runtime.cluster
+    for i, machine in enumerate(cluster.machines):
+        machine.cache_worker.write("j", f"e{i}", 0.1 * MB * (i + 1) / 3, 1, now=0.0)
+    assert runtime._cache_utilization() == _fresh_cache_utilization(cluster) > 0
+    cluster.machines[2].mark_dead()
+    cluster.machines[3].mark_read_only()
+    cluster.machines[4].cache_worker.write("j", "late", 7.7 * MB, 1, now=1.0)
+    assert runtime._cache_utilization() == _fresh_cache_utilization(cluster)
