@@ -9,7 +9,6 @@ the documented surface.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -172,34 +171,9 @@ class Runtime:
         batch = [workload] if isinstance(workload, Job) else list(workload)
         self.inner.submit_all(batch)
 
-    def submit_all(self, jobs: Sequence[Job]) -> None:
-        """Deprecated alias for :meth:`submit` (which now takes batches)."""
-        warnings.warn(
-            "Runtime.submit_all is deprecated; Runtime.submit accepts a "
-            "sequence of jobs directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.submit(jobs)
-
     def run(self, until: Optional[float] = None) -> list[JobResult]:
         """Run to completion (or ``until``); returns per-job results."""
         return self.inner.run(until=until)
-
-    def execute(self, job: Job) -> JobResult:
-        """Deprecated one-shot helper; use ``submit(job)`` + ``run()``."""
-        warnings.warn(
-            "Runtime.execute is deprecated; use submit(job) followed by "
-            "run() and read the returned results",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.submit(job)
-        self.run()
-        for result in self.inner.results:
-            if result.job_id == job.job_id:
-                return result
-        raise RuntimeError(f"job {job.job_id} did not complete")
 
 
 class Simulation:
@@ -214,31 +188,16 @@ class Simulation:
 
     def run(
         self,
-        workload: Union[Job, Sequence[Job], None] = None,
+        workload: Union[Job, Sequence[Job]],
         trace: TraceOption = None,
         until: Optional[float] = None,
-        *,
-        jobs: Union[Job, Sequence[Job], None] = None,
     ) -> SimulationResult:
         """Execute a workload (one job or a batch) on a fresh cluster.
 
         ``trace`` may be ``True`` (record in memory), a :class:`TraceConfig`
         (record and export), a ready :class:`~repro.obs.tracer.Tracer`, or
-        ``None``/``False`` for the zero-overhead disabled path.  The
-        ``jobs=`` keyword is a deprecated alias for ``workload``.
+        ``None``/``False`` for the zero-overhead disabled path.
         """
-        if jobs is not None:
-            if workload is not None:
-                raise TypeError("pass either workload or jobs=, not both")
-            warnings.warn(
-                "Simulation.run(jobs=...) is deprecated; pass the workload "
-                "positionally or as workload=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            workload = jobs
-        if workload is None:
-            raise TypeError("Simulation.run needs a workload (a Job or a sequence)")
         tracer, trace_config = _resolve_tracer(trace)
         runtime = Runtime(self.config, tracer=tracer)
         runtime.submit(workload)

@@ -40,9 +40,7 @@ Commands
 
 Flag conventions: ``--out`` names the output file, ``--jobs`` fans cells
 across worker processes, ``--cache-dir`` caches cell results, ``--n-jobs``
-sizes the workload, ``--seed`` makes randomized workloads replayable.  The
-old spellings (``--output``; replay's job-count ``--jobs``) still parse
-but print a deprecation warning.
+sizes the workload, ``--seed`` makes randomized workloads replayable.
 """
 
 from __future__ import annotations
@@ -104,33 +102,14 @@ def _worker_count(text: str) -> int:
     return value
 
 
-class _DeprecatedAlias(argparse.Action):
-    """Accept an old flag spelling: store to the canonical dest, warn once."""
-
-    def __init__(self, *args, replacement: str = "", **kwargs) -> None:
-        self.replacement = replacement
-        super().__init__(*args, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None) -> None:
-        print(
-            f"warning: {option_string} is deprecated, use {self.replacement}",
-            file=sys.stderr,
-        )
-        setattr(namespace, self.dest, values)
-
-
 def _add_output_option(
     parser: argparse.ArgumentParser, default: str | None = None, what: str = "a file"
 ) -> None:
-    """The shared ``--out`` option (with the deprecated ``--output`` alias)."""
+    """The shared ``--out`` option."""
     parser.add_argument(
         "--out", default=default, metavar="PATH",
         help=f"write to {what}" + (f" (default {default})" if default else
                                    " instead of stdout"),
-    )
-    parser.add_argument(
-        "--output", dest="out", metavar="PATH", action=_DeprecatedAlias,
-        replacement="--out", help=argparse.SUPPRESS,
     )
 
 
@@ -726,9 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay = sub.add_parser("replay", help="trace replay vs baselines")
     p_replay.add_argument("--n-jobs", type=int, default=250, dest="n_jobs",
                           help="number of trace jobs to replay")
-    p_replay.add_argument("--jobs", type=int, dest="n_jobs", metavar="N",
-                          action=_DeprecatedAlias, replacement="--n-jobs",
-                          help=argparse.SUPPRESS)
     p_replay.add_argument("--seed", type=int, default=7,
                           help="trace-generator seed (default 7)")
     p_replay.set_defaults(func=_cmd_replay)

@@ -208,6 +208,8 @@ class CacheWorker:
             return 0.0
         entry.last_touch = now
         self._entries.move_to_end(key)
+        # The LRU touch reorders the entry map, which changes its float sum.
+        self._resync_memory()
         if entry.bytes_on_disk <= 0 or entry.pending_consumers <= 0:
             return 0.0
         # Charge the share snapshotted at spill time, never more than the

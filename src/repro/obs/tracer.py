@@ -340,8 +340,8 @@ class RecordingTracer(Tracer):
     def task_intervals(self) -> list[tuple[float, float]]:
         """(start, end) busy intervals of every task-attempt span.
 
-        This is the record-level replacement for the runtime's private
-        ``busy_intervals`` list; figure scripts consume this instead.  The
+        Aborted attempts are included.  This is the runtime's only record
+        of executor-busy time; figure scripts read utilization from it.  The
         exact ``finish`` arg (when present) avoids the ``ts + dur``
         floating-point round-off.
         """

@@ -15,6 +15,7 @@ from repro.api import (
     TraceConfig,
 )
 from repro.baselines import jetscope_policy
+from repro.cli import build_parser
 from repro.obs import Category
 from repro.sim.failures import FailureKind, FailureSpec
 from repro.workloads import terasort
@@ -222,7 +223,7 @@ def test_sql_facade_reexported_from_package_root():
 
 
 # ----------------------------------------------------------------------
-# Unified submission path + deprecated aliases
+# Unified submission path
 # ----------------------------------------------------------------------
 
 def test_runtime_submit_accepts_single_job_and_batches():
@@ -234,34 +235,41 @@ def test_runtime_submit_accepts_single_job_and_batches():
     assert len({r.job_id for r in results}) == 3
 
 
-def test_runtime_submit_all_is_deprecated_but_works():
-    runtime = Runtime(_small_config())
-    with pytest.warns(DeprecationWarning, match="submit_all is deprecated"):
-        runtime.submit_all([terasort.terasort_job(4, 4)])
-    assert len(runtime.run()) == 1
-
-
-def test_runtime_execute_is_deprecated_but_works():
-    runtime = Runtime(_small_config())
-    with pytest.warns(DeprecationWarning, match="execute is deprecated"):
-        result = runtime.execute(terasort.terasort_job(4, 4))
-    assert result.completed
-
-
-def test_simulation_run_jobs_keyword_is_deprecated():
-    sim = Simulation(_small_config())
-    with pytest.warns(DeprecationWarning, match="jobs=.*deprecated"):
-        outcome = sim.run(jobs=terasort.terasort_job(4, 4))
-    assert outcome.completed
-
-
 def test_simulation_run_rejects_ambiguous_or_missing_workload():
     sim = Simulation(_small_config())
     job = terasort.terasort_job(4, 4)
-    with pytest.raises(TypeError, match="not both"):
+    with pytest.raises(TypeError, match="jobs"):
         sim.run(job, jobs=job)
-    with pytest.raises(TypeError, match="needs a workload"):
+    with pytest.raises(TypeError, match="workload"):
         sim.run()
+
+
+def _job():
+    return terasort.terasort_job(4, 4)
+
+
+#: Spellings deprecated by the submission redesign and since removed.
+_REMOVED_SPELLINGS = {
+    "Runtime.submit_all": (
+        AttributeError, lambda: Runtime(_small_config()).submit_all([_job()])),
+    "Runtime.execute": (
+        AttributeError, lambda: Runtime(_small_config()).execute(_job())),
+    "Simulation.run(jobs=)": (
+        TypeError, lambda: Simulation(_small_config()).run(jobs=_job())),
+    "report --output": (
+        SystemExit, lambda: build_parser().parse_args(["report", "--output", "x.md"])),
+    "replay --jobs": (
+        SystemExit, lambda: build_parser().parse_args(["replay", "--jobs", "30"])),
+}
+
+
+@pytest.mark.parametrize("spelling", list(_REMOVED_SPELLINGS))
+def test_removed_spellings_are_rejected(spelling):
+    error, call = _REMOVED_SPELLINGS[spelling]
+    with pytest.raises(error) as excinfo:
+        call()
+    if error is SystemExit:
+        assert excinfo.value.code == 2
 
 
 def test_service_facade_reexported_from_package_root():

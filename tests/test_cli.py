@@ -115,12 +115,9 @@ def test_bench_check_passes_and_skips_missing_file(tmp_path, capsys, monkeypatch
 
 
 def test_replay_command(capsys):
-    assert main(["replay", "--jobs", "30"]) == 0
-    captured = capsys.readouterr()
-    out = captured.out
+    assert main(["replay", "--n-jobs", "30"]) == 0
+    out = capsys.readouterr().out
     assert "swift" in out and "jetscope" in out and "speedup" in out
-    # The job-count --jobs spelling still parses but is deprecated.
-    assert "deprecated" in captured.err and "--n-jobs" in captured.err
 
 
 def test_replay_canonical_n_jobs_flag(capsys):
@@ -128,13 +125,6 @@ def test_replay_canonical_n_jobs_flag(capsys):
     captured = capsys.readouterr()
     assert "replaying 30 jobs" in captured.out
     assert "deprecated" not in captured.err
-
-
-def test_deprecated_output_flag_maps_to_out(capsys):
-    args = build_parser().parse_args(["report", "--output", "x.md"])
-    assert args.out == "x.md"
-    err = capsys.readouterr().err
-    assert "deprecated" in err and "--out" in err
 
 
 def test_trace_command_writes_perfetto_trace(tmp_path, capsys):

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from repro.baselines import bubble_policy, jetscope_policy, restart_policy
 from repro.core.policies import swift_policy
 from repro.core.runtime import SwiftRuntime
-from repro.obs import RecordingTracer
+from repro.obs import Category, RecordingTracer
 from repro.experiments import figures
 from repro.experiments.harness import build_cluster
 from repro.experiments.parallel import clear_memory_cache, set_default_jobs
@@ -88,8 +89,10 @@ def _assert_same_run(expected, actual):
         assert got.job_id == want.job_id
         assert got.completed == want.completed
         assert got.metrics == want.metrics
-    assert actual_rt.busy_intervals == expected_rt.busy_intervals
     assert actual_rt.admin.stats.__dict__ == expected_rt.admin.stats.__dict__
+    if expected_rt.tracer.enabled and actual_rt.tracer.enabled:
+        # Busy intervals, aborted attempts included, live in the trace.
+        assert actual_rt.tracer.task_intervals() == expected_rt.tracer.task_intervals()
 
 
 @pytest.mark.parametrize("make_policy", [swift_policy, jetscope_policy, bubble_policy])
@@ -97,13 +100,15 @@ def _assert_same_run(expected, actual):
 def test_result_neutral_knobs(make_policy, with_failures):
     """Kernel choice, tracing and audit are observation or implementation
     knobs, not model changes: every combination reproduces the plain
-    array-kernel run's JobMetrics (timestamps, phase times, attempts), busy
-    intervals and admin stats exactly, with or without injected failures."""
+    array-kernel run's JobMetrics (timestamps, phase times, attempts) and
+    admin stats exactly, with or without injected failures; the traced
+    combinations also agree on every task interval, aborted ones included."""
     jobs = traces.generate_trace(
         traces.TraceConfig(n_jobs=8, mean_interarrival=0.2)
     )
     plan = _failure_plan(jobs) if with_failures else None
     reference = _replay(make_policy, jobs, plan)
+    traced_reference = None
     for kernel, traced, audit in itertools.product(
         ("array", "legacy"), (False, True), (False, True)
     ):
@@ -112,17 +117,21 @@ def test_result_neutral_knobs(make_policy, with_failures):
             make_policy, jobs, plan, kernel=kernel, tracer=tracer, audit=audit
         )
         _assert_same_run(reference, run)
+        if traced:
+            traced_reference = traced_reference or run
+            _assert_same_run(traced_reference, run)
 
 
 @pytest.mark.parametrize("make_policy", [swift_policy, restart_policy])
 @pytest.mark.parametrize("with_failures", [False, True])
 @pytest.mark.parametrize("audit", [True, False])
 def test_tracing_does_not_perturb_simulation(make_policy, with_failures, audit):
-    """Attaching a RecordingTracer is pure observation: results, busy
-    intervals, and admin stats stay byte-identical, and the task-attempt
-    spans reproduce the runtime's private busy_intervals list (the record
-    stream the figure scripts now consume).  The audit ledger emits through
-    the same tracer, so both audit settings are covered."""
+    """Attaching a RecordingTracer is pure observation: results and admin
+    stats stay byte-identical, and the finished task-attempt spans are
+    exactly the ``(plan_arrive, finish)`` intervals of the returned
+    JobMetrics (the record stream the figure scripts consume).  The audit
+    ledger emits through the same tracer, so both audit settings are
+    covered."""
     jobs = traces.generate_trace(
         traces.TraceConfig(n_jobs=6, mean_interarrival=0.2)
     )
@@ -131,7 +140,14 @@ def test_tracing_does_not_perturb_simulation(make_policy, with_failures, audit):
     tracer = RecordingTracer()
     traced = _replay(make_policy, jobs, plan, tracer=tracer, audit=audit)
     _assert_same_run(plain, traced)
-    assert tracer.task_intervals() == traced[1].busy_intervals
+    finished = Counter(
+        (r.ts, r.args["finish"])
+        for r in tracer.of_category(Category.TASK)
+        if not r.args.get("aborted")
+    )
+    assert finished == Counter(
+        (t.plan_arrive, t.finish) for r in traced[0] for t in r.metrics.tasks
+    )
 
 
 # ----------------------------------------------------------------------

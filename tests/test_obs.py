@@ -150,6 +150,20 @@ def test_recording_tracer_collects_and_queries():
     assert tracer.metrics.gauge("mem").value == 10.0
 
 
+def test_recording_tracer_ring_keeps_the_tail():
+    tracer = RecordingTracer(capacity=4)
+    for i in range(1_000):
+        name = "job.submitted" if i % 2 else "job.failed"
+        tracer.instant(Category.JOB, name, float(i), f"j{i}")
+    tracer.task_span("M1", "j", 0, 0, 1_000.0, 1_000.5, 1_001.0, 0.1, 0.1, 0.2, 0.1)
+    assert len(tracer) == 4
+    assert tracer.dropped == 997
+    assert [r.job_id for r in tracer.records] == ["j997", "j998", "j999", "j"]
+    assert [r.job_id for r in tracer.of_category(Category.JOB)
+            if r.name == "job.submitted"] == ["j997", "j999"]
+    assert tracer.task_intervals() == [(1_000.0, 1_001.0)]
+
+
 # ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dag import Edge, EdgeMode, JobDAG, Stage
@@ -235,6 +235,15 @@ _cache_ops = st.tuples(
 @given(
     st.lists(_cache_ops, min_size=1, max_size=40),
     st.sampled_from([32 * 1024**2, 100 * 1024**2]),
+)
+# A read's LRU touch reorders the entry map; the counter must follow.
+@example(
+    operations=[("write", 0, 1.1900322968140244, 1),
+                ("write", 1, 12924030.0, 1),
+                ("write", 1, 24628524.51799404, 1),
+                ("write", 2, 29556310.0, 1),
+                ("read", 0, 0.0, 1)],
+    capacity=100 * 1024**2,
 )
 @settings(max_examples=80, deadline=None)
 def test_cache_worker_invariants_under_interleavings(operations, capacity):

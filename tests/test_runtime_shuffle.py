@@ -223,7 +223,7 @@ def test_loss_of_superseded_replica_is_neither_failover_nor_rerun():
     no failover (there is no survivor to fail over to) and re-run nothing."""
     from repro.chaos.campaign import Campaign, ChaosEvent
     from repro.chaos.invariants import check_bounded_shuffle_recovery
-    from repro.core.events import EventKind
+    from repro.obs import Category, RecordingTracer
 
     # 120x120 over 16x32: the edge lands on machines 0-3 with replicas on
     # 4-7.  The src[0] crash at 1.21 s (before dst reads) re-runs it, and
@@ -237,17 +237,22 @@ def test_loss_of_superseded_replica_is_neither_failover_nor_rerun():
     ]
     campaign = Campaign(seed=0, workload="terasort", profile="light",
                         events=events)
+    tracer = RecordingTracer()
     runtime = SwiftRuntime(
         Cluster.build(16, 32), swift_policy(),
         failure_plan=campaign.to_failure_plan(), reference_duration=10.0,
+        tracer=tracer,
     )
     result = runtime.execute(as_job(wide_barrier_dag(120, 120)))
     assert result.completed
-    rewrites = runtime.events.of_kind(EventKind.STAGE_COMPLETED)
-    assert [e.detail for e in rewrites] == ["src", "src", "dst"]
-    lost = runtime.events.first(EventKind.CACHE_WORKER_LOST)
-    assert lost.detail == "machine 5 (1 entries)"
-    assert rewrites[1].time < lost.time < rewrites[2].time
+    rewrites = tracer.of_category(Category.STAGE)
+    assert [r.name for r in rewrites] == ["src", "src", "dst"]
+    (lost,) = [
+        r for r in tracer.of_category(Category.FAILURE)
+        if r.name == "cache_worker.lost"
+    ]
+    assert lost.scope == "machine5" and lost.args["entries"] == 1
+    assert rewrites[1].end < lost.ts < rewrites[2].end
     assert check_bounded_shuffle_recovery(campaign, runtime) == []
     assert runtime.shuffle_recovery_log == []
     assert result.metrics.task_reruns == 1
