@@ -19,7 +19,8 @@ Commands
 ``sql [--query TEXT | --file PATH] [--scale N] [--execute] [--engine E]``
     Compile a Swift-language query to a job DAG, show the plan and the
     graphlet partitioning, simulate it, and optionally execute it on a
-    generated mini TPC-H database (``--execute``; ``--engine`` picks
+    generated mini TPC-H database (``--execute``, which also prints the
+    executed plan after filter pushdown; ``--engine`` picks
     row/columnar/auto).
 ``replay [--n-jobs N]``
     Replay a trace against Swift, Bubble Execution, and JetScope.
@@ -186,6 +187,7 @@ def _cmd_sql(args: argparse.Namespace) -> int:
         generate_database,
         parse,
         plan_statement,
+        push_down_filters,
     )
 
     if args.file:
@@ -195,8 +197,9 @@ def _cmd_sql(args: argparse.Namespace) -> int:
         query = args.query or FIG1_QUERY
 
     statement = parse(query)
+    plan = plan_statement(statement)
     print("=== logical plan ===")
-    print(explain(plan_statement(statement)))
+    print(explain(plan))
     dag = compile_sql(query, scale_factor=args.scale, job_id="cli_sql")
     print("\n=== job DAG ===")
     for stage in dag:
@@ -211,6 +214,8 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     print(f"\nsimulated run time: {result.metrics.run_time:.2f}s "
           f"({len(result.metrics.tasks)} tasks)")
     if args.execute:
+        print("\n=== executed plan ===")
+        print(explain(push_down_filters(plan)))
         outcome = execute_sql(
             query, generate_database(),
             engine=args.engine, batch_size=args.batch_size,

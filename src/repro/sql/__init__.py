@@ -61,6 +61,7 @@ from .logical import (
     PlanError,
     explain,
     plan_statement,
+    push_down_filters,
     scans_in,
 )
 from .parser import ParseError, parse
@@ -123,6 +124,7 @@ __all__ = [
     "parse",
     "plan_schema",
     "plan_statement",
+    "push_down_filters",
     "run_query",
     "scans_in",
     "sql_like",

@@ -8,13 +8,16 @@ operators are array programs:
 
 * **filter** — kernel truthiness mask, ``np.flatnonzero`` + fancy-index
   gather;
-* **aggregate** — group assignment via ``np.unique``-based factorization
-  remapped to first-seen order, then ``np.bincount`` (whose sequential
-  accumulation matches the row engine's ``total += v`` float-for-float)
-  and ``np.minimum.at``/``np.maximum.at`` segmented reductions;
-* **join** — equi-keys pooled into a shared code space (dictionary merge
-  for strings, ``np.unique`` for numerics), build side sorted once, probe
-  via ``np.searchsorted``, candidate pairs expanded with ``np.repeat``;
+* **aggregate** — group assignment by factorizing integer key codes (a
+  16-bit radix sort) remapped to first-seen order, then ``np.bincount``
+  (whose sequential accumulation matches the row engine's ``total += v``
+  float-for-float) and ``np.minimum.at``/``np.maximum.at`` segmented
+  reductions;
+* **join** — equi-keys turned into one integer code per row (int keys
+  offset and packed directly; otherwise pooled: dictionary merge for
+  strings, ``np.unique`` for numerics), build side stably ordered once,
+  probe through per-code run counts, candidate pairs expanded with
+  ``np.repeat``;
 * **sort** — successive stable ``np.argsort`` passes, least-significant
   key first, with a null-flag pass replicating the row engine's
   ``_sort_key`` ordering.
@@ -27,6 +30,9 @@ columns, NaN sort/group keys, DISTINCT aggregates) drops to an exact
 Python fallback for that operator.  Differential tests assert identical
 output on every TPC-H query and the conformance corpus.
 
+Compilation prunes columns: scans, filters and joins carry only the names
+their ancestors reference (see :func:`compile_plan`).
+
 Plans the engine cannot run raise :class:`UnsupportedFeature` at compile
 time; the dispatcher (:mod:`repro.sql.dispatch`) catches it and falls back
 to the row executor.
@@ -35,11 +41,20 @@ to the row executor.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ast import BinaryOp, ColumnRef, Expr, FunctionCall, Star
+from .ast import (
+    AGGREGATE_FUNCTIONS,
+    BinaryOp,
+    ColumnRef,
+    Expr,
+    FunctionCall,
+    Star,
+    UnaryOp,
+    column_refs,
+)
 from .batch import (
     ColumnBatch,
     ColumnTable,
@@ -53,11 +68,12 @@ from .executor import (
     Database,
     ExecutionError,
     Row,
-    _collect_aggregates,
-    _eval_with_aggregates,
+    _column_key,
     _extract_equi_keys,
     _hashable,
     _sort_key,
+    aggregate_slots,
+    bind_aggregates,
 )
 from .kernels import Kernel, compile_kernel
 from .logical import (
@@ -101,6 +117,10 @@ _INT64_MIN = np.iinfo(np.int64).min
 #: Join keys pooled through float64 stay exact only below 2**53.
 _FLOAT_EXACT_INT = 2 ** 53
 
+#: Widest int value range used directly as group codes: two folded key
+#: columns then stay below 2**62.
+_MAX_KEY_SPAN = 1 << 31
+
 
 class UnsupportedFeature(ExecutionError):
     """Plan shape the columnar engine cannot run (dispatch falls back)."""
@@ -108,6 +128,43 @@ class UnsupportedFeature(ExecutionError):
 
 class _PythonFallback(Exception):
     """Internal: value shape needs the exact row-semantics Python path."""
+
+
+def _ref_names(exprs: Iterable[Optional[Expr]]) -> set[str]:
+    """Every column name a reference in ``exprs`` may resolve to."""
+    names: set[str] = set()
+    for expr in exprs:
+        if expr is None:
+            continue
+        for ref in column_refs(expr):
+            names.add(ref.name)
+            if ref.qualifier:
+                names.add(f"{ref.qualifier}.{ref.name}")
+    return names
+
+
+def _widen(
+    needed: Optional[set[str]], exprs: Iterable[Optional[Expr]]
+) -> Optional[set[str]]:
+    """``needed`` plus the names ``exprs`` reference (``None`` = all)."""
+    return None if needed is None else needed | _ref_names(exprs)
+
+
+def _prune(schema: Iterable[str], needed: Optional[set[str]]) -> list[str]:
+    """``schema`` restricted to ``needed``, in schema order.
+
+    An operator's pruned schema holds a name iff its unpruned schema does,
+    for every name its ancestors reference, so references resolve, and
+    join columns override, exactly as without pruning.
+    """
+    return list(schema) if needed is None else [n for n in schema if n in needed]
+
+
+def _narrow(batch: ColumnBatch, names: list[str]) -> ColumnBatch:
+    """``batch`` restricted to ``names`` (a subset of its own)."""
+    if len(names) == len(batch.names):
+        return batch
+    return ColumnBatch(names, {n: batch.columns[n] for n in names}, batch.length)
 
 
 def _auto_batch_size(n_rows: int) -> int:
@@ -177,6 +234,7 @@ class _ScanOp(_Op):
         database: Database,
         catalog: Optional[Catalog],
         batch_size: Optional[int],
+        needed: Optional[set[str]] = None,
     ) -> None:
         super().__init__()
         rows = database.get(node.table)
@@ -184,7 +242,6 @@ class _ScanOp(_Op):
             raise ExecutionError(f"table {node.table!r} not loaded")
         self.rows = rows
         self.columnar = isinstance(rows, ColumnTable)
-        self.binding = node.binding
         self.batch_size = (
             batch_size if batch_size is not None else _auto_batch_size(len(rows))
         )
@@ -204,36 +261,36 @@ class _ScanOp(_Op):
             raise UnsupportedFeature(
                 f"empty table {node.table!r} has no static schema"
             )
-        self.base_names = base
-        aliases = []
-        if self.binding:
-            aliases = [
-                f"{self.binding}.{n}" for n in base
-                if "." not in n and f"{self.binding}.{n}" not in base
-            ]
-        self.schema = base + aliases
+        # Visible name -> the base column behind it (qualified aliases share
+        # their bare column's vector).
+        binding = node.binding
+        sources = {n: n for n in base}
+        if binding:
+            for n in base:
+                if "." not in n:
+                    sources.setdefault(f"{binding}.{n}", n)
+        self.schema = _prune(sources, needed)
+        self.sources = {n: sources[n] for n in self.schema}
+        self.base_names = list(dict.fromkeys(self.sources.values()))
 
     def batches(self) -> Iterator[ColumnBatch]:
-        rows, size, binding = self.rows, self.batch_size, self.binding
+        rows, size = self.rows, self.batch_size
         total = len(rows)
         for start in range(0, total, size):
             began = perf_counter()
             stop = min(start + size, total)
             if self.columnar:
-                columns = {
+                base = {
                     n: rows.columns[n].slice(start, stop)
                     for n in self.base_names
                 }
             else:
                 chunk = rows[start:stop]
-                columns = {
+                base = {
                     n: ColumnVector.from_values([row[n] for row in chunk])
                     for n in self.base_names
                 }
-            if binding:
-                for n in self.base_names:
-                    if "." not in n:
-                        columns[f"{binding}.{n}"] = columns[n]
+            columns = {name: base[n] for name, n in self.sources.items()}
             batch = ColumnBatch(self.schema, columns, stop - start)
             self.seconds += perf_counter() - began
             yield self._emit(batch)
@@ -279,20 +336,23 @@ class _AliasOp(_UnaryOpBase):
 class _FilterOp(_UnaryOpBase):
     kind = "filter"
 
-    def __init__(self, child: _Op, predicate: Expr) -> None:
+    def __init__(
+        self, child: _Op, predicate: Expr, needed: Optional[set[str]] = None
+    ) -> None:
         super().__init__(child)
         self.kernel = compile_kernel(predicate, child.schema)
-        self.schema = list(child.schema)
+        self.schema = _prune(child.schema, needed)
         self.detail = str(predicate)
 
     def batches(self) -> Iterator[ColumnBatch]:
         for batch in self.child.batches():
             began = perf_counter()
             mask = self.kernel.truth(batch)
-            if mask.all():
-                out: Optional[ColumnBatch] = batch
-            elif mask.any():
-                out = gather(batch, np.flatnonzero(mask))
+            if mask.any():
+                kept = _narrow(batch, self.schema)
+                out: Optional[ColumnBatch] = (
+                    kept if mask.all() else gather(kept, np.flatnonzero(mask))
+                )
             else:
                 out = None
             self.seconds += perf_counter() - began
@@ -383,12 +443,33 @@ def _equality_codes(vec: ColumnVector) -> np.ndarray:
     if vec.kind == "str":
         return np.where(mask, 0, vec.data.astype(np.int64) + 1)
     data = vec.data
-    if vec.kind == "float":
-        valid = data[~mask]
-        if valid.size and bool(np.isnan(valid).any()):
-            raise _PythonFallback
+    valid = data[~mask]
+    if vec.kind == "float" and valid.size and bool(np.isnan(valid).any()):
+        raise _PythonFallback
+    if vec.kind == "int" and valid.size:
+        low = int(valid.min())
+        if int(valid.max()) - low < _MAX_KEY_SPAN:
+            # Offset ints are exact codes already; no sort needed.
+            return np.where(mask, 0, data - (low - 1))
     _, inv = np.unique(data, return_inverse=True)
     return np.where(mask, 0, inv.astype(np.int64) + 1)
+
+
+def _factorize(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_index=True, return_inverse=True)[1:]``.
+
+    For non-empty, non-negative int codes: the first lane of each distinct
+    code and every lane's dense id, both in ascending code order, from one
+    stable :func:`_stable_order` pass.
+    """
+    order = _stable_order(codes, int(codes.max()) + 1)
+    ordered = codes[order]
+    new = np.empty(len(codes), np.bool_)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    ids = np.empty(len(codes), np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return order[new], ids
 
 
 def _combine_codes(parts: list[np.ndarray]) -> np.ndarray:
@@ -396,22 +477,18 @@ def _combine_codes(parts: list[np.ndarray]) -> np.ndarray:
     codes = parts[0]
     for nxt in parts[1:]:
         width = int(nxt.max()) + 1 if nxt.size else 1
-        combined = codes * width + nxt
         # Compress after every fold so the product stays far from 2**63.
-        _, inv = np.unique(combined, return_inverse=True)
-        codes = inv.astype(np.int64)
+        codes = _factorize(codes * width + nxt)[1]
     return codes
 
 
 def _first_seen_groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group ids in first-occurrence order + first lane index per group."""
-    uniques, first, inv = np.unique(
-        codes, return_index=True, return_inverse=True
-    )
+    first, inv = _factorize(codes)
     order = np.argsort(first, kind="stable")
-    rank = np.empty(len(uniques), np.int64)
-    rank[order] = np.arange(len(uniques))
-    return rank[inv.astype(np.int64)], first[order]
+    rank = np.empty(len(first), np.int64)
+    rank[order] = np.arange(len(first))
+    return rank[inv], first[order]
 
 
 def _py_groups(
@@ -570,23 +647,40 @@ class _AggregateOp(_UnaryOpBase):
         self, child: _Op, node: LogicalAggregate, batch_size: Optional[int]
     ) -> None:
         super().__init__(child)
-        self.node = node
         self.batch_size = batch_size
-        calls: list[FunctionCall] = []
-        for item in node.items:
-            _collect_aggregates(item.expr, calls)
-        if node.having is not None:
-            _collect_aggregates(node.having, calls)
-        unique = {str(c): c for c in calls}
-        self.agg_keys = list(unique)
+        exprs = [item.expr for item in node.items] + [node.having]
+        unique = aggregate_slots(exprs)
+        slots = {key: i for i, key in enumerate(unique)}
         self.calls = [_AggCall(c, child.schema) for c in unique.values()]
         self.group_kernels = [
             compile_kernel(g, child.schema) for g in node.group_by
         ]
-        names: dict[str, None] = dict.fromkeys(
-            item.output_name for item in node.items
+        self.having = (
+            bind_aggregates(node.having, slots) if node.having is not None else None
         )
-        self.schema = list(names)
+        # Per item: (output name, aggregate slot, representative column,
+        # per-group evaluator).  An item that is one aggregate call or one
+        # resolvable column reference is read as a whole column; any other
+        # item runs its evaluator once per group.
+        self.items: list[tuple[str, Optional[int], Optional[str], Callable]] = []
+        for item in node.items:
+            expr, slot, key = item.expr, None, None
+            if isinstance(expr, FunctionCall) and expr.name.lower() in AGGREGATE_FUNCTIONS:
+                slot = slots[str(expr)]
+            elif isinstance(expr, ColumnRef):
+                key = _column_key(expr, child.schema)
+            self.items.append(
+                (item.output_name, slot, key, bind_aggregates(expr, slots))
+            )
+        self.per_group = self.having is not None or any(
+            slot is None and key is None for _, slot, key, _ in self.items
+        )
+        self.schema = list(dict.fromkeys(name for name, *_ in self.items))
+        # Each group's representative row carries only what the bound
+        # expressions read from it: references outside aggregate calls.
+        self.rep_names = _prune(
+            child.schema, set().union(*(_group_row_names(e) for e in exprs))
+        )
         self.detail = ", ".join(str(g) for g in node.group_by)
 
     def batches(self) -> Iterator[ColumnBatch]:
@@ -597,50 +691,67 @@ class _AggregateOp(_UnaryOpBase):
         began = perf_counter()
         table = concat_batches(self.child.schema, collected)
         n = table.length
-        grouped = bool(self.group_kernels)
-        representatives: list[Row]
-        if grouped:
-            if n == 0:
-                gids = np.empty(0, np.int64)
-                representatives = []
-            else:
+        reps: Optional[ColumnBatch] = None
+        if self.group_kernels:
+            gids, rep_idx = np.empty(0, np.int64), np.empty(0, np.int64)
+            if n:
                 key_vectors = [k.eval(table) for k in self.group_kernels]
                 try:
                     codes = [_equality_codes(v) for v in key_vectors]
                     gids, rep_idx = _first_seen_groups(_combine_codes(codes))
                 except _PythonFallback:
                     gids, rep_idx = _py_groups(key_vectors, n)
-                representatives = gather(table, rep_idx).to_rows()
+            reps = gather(_narrow(table, self.rep_names), rep_idx)
         else:
             gids = np.zeros(n, np.int64)
             if n:
-                representatives = gather(table, np.array([0], np.int64)).to_rows()
-            else:
-                representatives = [{}]
-        n_groups = len(representatives)
+                reps = gather(_narrow(table, self.rep_names), np.zeros(1, np.int64))
+        # No input and no GROUP BY: one group with an empty representative.
+        n_groups = 1 if reps is None else reps.length
         per_call = [c.compute(table, gids, n_groups) for c in self.calls]
-        rows: list[Row] = []
-        node = self.node
-        for gid, representative in enumerate(representatives):
-            results = {
-                key: column[gid]
-                for key, column in zip(self.agg_keys, per_call)
-            }
-            if node.having is not None and not _eval_with_aggregates(
-                node.having, representative, results
-            ):
+        rep_rows: list[Row] = [{}]
+        results: list[tuple] = [()] * n_groups
+        if self.per_group or reps is None:
+            if reps is not None:
+                rep_rows = reps.to_rows()
+            if per_call:
+                results = list(zip(*per_call))
+        keep: Sequence[int] = range(n_groups)
+        if self.having is not None:
+            having = self.having
+            keep = [g for g in keep if having(rep_rows[g], results[g])]
+        columns: dict[str, list] = {}
+        for name, slot, key, value in self.items:
+            if slot is not None:
+                column = per_call[slot]
+            elif key is not None and reps is not None:
+                column = reps.columns[key].to_pylist()
+            else:
+                columns[name] = [value(rep_rows[g], results[g]) for g in keep]
                 continue
-            out_row: Row = {}
-            for item in node.items:
-                out_row[item.output_name] = _eval_with_aggregates(
-                    item.expr, representative, results
-                )
-            rows.append(out_row)
+            columns[name] = column if self.having is None else [column[g] for g in keep]
         self.seconds += perf_counter() - began
-        size = self.batch_size if self.batch_size is not None else max(len(rows), 1)
-        for start in range(0, len(rows), size):
-            chunk = rows[start:start + size]
-            yield self._emit(ColumnBatch.from_rows(chunk, self.schema))
+        total = len(keep)
+        size = self.batch_size if self.batch_size is not None else max(total, 1)
+        for start in range(0, total, size):
+            stop = min(start + size, total)
+            yield self._emit(ColumnBatch(self.schema, {
+                name: ColumnVector.from_values(columns[name][start:stop])
+                for name in self.schema
+            }, stop - start))
+
+
+def _group_row_names(expr: Optional[Expr]) -> set[str]:
+    """Names :func:`bind_aggregates` reads from a group's representative."""
+    if expr is None or (
+        isinstance(expr, FunctionCall) and expr.name.lower() in AGGREGATE_FUNCTIONS
+    ):
+        return set()
+    if isinstance(expr, BinaryOp):
+        return _group_row_names(expr.left) | _group_row_names(expr.right)
+    if isinstance(expr, UnaryOp):
+        return _group_row_names(expr.operand)
+    return _ref_names([expr])
 
 
 # ----------------------------------------------------------------------
@@ -709,7 +820,12 @@ class _JoinOp(_Op):
     kind = "join"
 
     def __init__(
-        self, left: _Op, right: _Op, node: LogicalJoin, batch_size: Optional[int]
+        self,
+        left: _Op,
+        right: _Op,
+        node: LogicalJoin,
+        batch_size: Optional[int],
+        needed: Optional[set[str]] = None,
     ) -> None:
         super().__init__()
         if node.kind not in ("inner", "left"):
@@ -721,14 +837,20 @@ class _JoinOp(_Op):
         self.right = right
         self.join_kind = node.kind
         self.batch_size = batch_size
-        self.keys = keys
-        self.detail = str(node.condition)
+        # Orient each key pair by the input whose schema resolves its first
+        # ref, like the row engine's check against the left rows' names.
         left_present = set(left.schema)
+        self.keys = [
+            (a, b) if _column_key(a, left_present) is not None else (b, a)
+            for a, b in keys
+        ]
+        self.detail = str(node.condition)
         self.right_names = set(right.schema)
-        self.schema = left.schema + [
+        joined = left.schema + [
             n for n in right.schema if n not in left_present
         ]
-        self.condition_kernel = compile_kernel(node.condition, self.schema)
+        self.condition_kernel = compile_kernel(node.condition, joined)
+        self.schema = _prune(joined, needed)
         # A condition that is exactly its equi-pairs needs no residual
         # pass: code-matched candidates satisfy it by construction (null
         # keys are excluded, which the equality conjunct would reject too).
@@ -739,27 +861,17 @@ class _JoinOp(_Op):
 
     @staticmethod
     def _key_column(ref: ColumnRef, batch: ColumnBatch) -> ColumnVector:
-        key = f"{ref.qualifier}.{ref.name}" if ref.qualifier else ref.name
-        column = batch.columns.get(key)
-        if column is None:
-            column = batch.columns.get(ref.name)
-        if column is None:
+        key = _column_key(ref, batch.columns)
+        if key is None:
             return ColumnVector.all_null(batch.length)
-        return column
+        return batch.columns[key]
 
     def batches(self) -> Iterator[ColumnBatch]:
         left = concat_batches(self.left.schema, list(self.left.batches()))
         right = concat_batches(self.right.schema, list(self.right.batches()))
         began = perf_counter()
-        # Orient each key pair against the first left row's values, exactly
-        # like the row engine's probe of ``left_rows[0]``.
-        oriented = []
-        for a, b in self.keys:
-            column = self._key_column(a, left)
-            first = column.value_at(0) if left.length else None
-            oriented.append((a, b) if first is not None else (b, a))
-        left_vecs = [self._key_column(l, left) for l, _ in oriented]
-        right_vecs = [self._key_column(r, right) for _, r in oriented]
+        left_vecs = [self._key_column(l, left) for l, _ in self.keys]
+        right_vecs = [self._key_column(r, right) for _, r in self.keys]
         try:
             cand_left, cand_right = self._match_vectorized(
                 left, right, left_vecs, right_vecs
@@ -826,44 +938,56 @@ class _JoinOp(_Op):
         left_vecs: list[ColumnVector],
         right_vecs: list[ColumnVector],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate pairs via sorted build side + searchsorted probe."""
-        nl, nr = left.length, right.length
+        """Candidate pairs via a stably ordered build side + code probe."""
+        nl = left.length
+        empty = np.empty(0, np.int64)
         left_valid = np.ones(nl, np.bool_)
-        right_valid = np.ones(nr, np.bool_)
-        left_parts: list[np.ndarray] = []
-        right_parts: list[np.ndarray] = []
-        impossible = False
+        right_valid = np.ones(right.length, np.bool_)
         for lv, rv in zip(left_vecs, right_vecs):
-            pair = _pair_codes(lv, rv)
-            if pair is None:
-                impossible = True
-                break
-            left_parts.append(pair[0])
-            right_parts.append(pair[1])
             left_valid &= ~lv.null_mask()
             right_valid &= ~rv.null_mask()
-        empty = np.empty(0, np.int64)
-        if impossible:
-            return empty, empty
-        left_codes = _join_fold(left_parts, right_parts, take_left=True)
-        right_codes = _join_fold(left_parts, right_parts, take_left=False)
+        codes = _int_key_codes(left_vecs, right_vecs, left_valid, right_valid)
+        if codes is None:
+            left_parts: list[np.ndarray] = []
+            right_parts: list[np.ndarray] = []
+            for lv, rv in zip(left_vecs, right_vecs):
+                pair = _pair_codes(lv, rv)
+                if pair is None:
+                    return empty, empty
+                left_parts.append(pair[0])
+                right_parts.append(pair[1])
+            codes = (
+                _join_fold(left_parts, right_parts, take_left=True),
+                _join_fold(left_parts, right_parts, take_left=False),
+            )
+        left_codes, right_codes = codes
         build_idx = np.flatnonzero(right_valid)
+        if not build_idx.size or not left_valid.any():
+            return empty, empty
+        nb = build_idx.size
         build_codes = right_codes[build_idx]
-        perm = np.argsort(build_codes, kind="stable")
-        sorted_codes = build_codes[perm]
-        # Stable sort => equal codes keep ascending original right order,
-        # reproducing the row engine's bucket insertion order.
-        build_order = build_idx[perm]
-        lo = np.searchsorted(sorted_codes, left_codes, "left")
-        hi = np.searchsorted(sorted_codes, left_codes, "right")
-        counts = np.where(left_valid, hi - lo, 0)
+        probe = np.where(left_valid, left_codes, 0)
+        span = int(max(build_codes.max(), probe.max())) + 1
+        if span > 2 * (nl + nb):
+            # Sparse codes: renumber both sides densely first.
+            ids = _factorize(np.concatenate([build_codes, probe]))[1]
+            build_codes, probe = ids[:nb], ids[nb:]
+            span = int(ids.max()) + 1
+        # Per-code run starts and lengths by counting; a stable order keeps
+        # equal codes in ascending right order, reproducing the row
+        # engine's bucket insertion order.
+        per_code = np.bincount(build_codes, minlength=span)
+        lo = (np.cumsum(per_code) - per_code)[probe]
+        counts = np.where(left_valid, per_code[probe], 0)
+        build_order = build_idx[_stable_order(build_codes, span)]
         total = int(counts.sum())
         if not total:
             return empty, empty
         cand_left = np.repeat(np.arange(nl, dtype=np.int64), counts)
-        starts = np.cumsum(counts) - counts
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        cand_right = build_order[np.repeat(lo, counts) + within]
+        offsets = lo - (np.cumsum(counts) - counts)
+        cand_right = build_order[
+            np.repeat(offsets, counts) + np.arange(total, dtype=np.int64)
+        ]
         return cand_left, cand_right
 
     def _match_python(
@@ -896,6 +1020,55 @@ class _JoinOp(_Op):
             np.array(cand_left, np.int64),
             np.array(cand_right, np.int64),
         )
+
+
+def _stable_order(codes: np.ndarray, span: int) -> np.ndarray:
+    """Stable argsort of non-negative integer ``codes`` below ``span``.
+
+    Below ``2**32`` this is an LSD radix sort on 16-bit digits (numpy's
+    stable sort is a radix sort for 16-bit types), which beats a
+    comparison sort on shuffled keys.
+    """
+    if span > 1 << 32:
+        return np.argsort(codes, kind="stable")
+    order = np.argsort((codes & 0xFFFF).astype(np.uint16), kind="stable")
+    if span > 1 << 16:
+        high = (codes[order] >> 16).astype(np.uint16)
+        order = order[np.argsort(high, kind="stable")]
+    return order
+
+
+def _int_key_codes(
+    left_vecs: list[ColumnVector],
+    right_vecs: list[ColumnVector],
+    left_valid: np.ndarray,
+    right_valid: np.ndarray,
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Exact non-negative joint codes for int-only keys, or ``None``.
+
+    Each key is offset by its smallest valid value on either side and the
+    keys are packed mixed-radix, so on valid lanes equal code <=> equal key
+    tuple with no pooled ``np.unique``.  ``None`` when a key is not int on
+    both sides or the packed range would pass ``2**62``.
+    """
+    left_codes = np.zeros(len(left_valid), np.int64)
+    right_codes = np.zeros(len(right_valid), np.int64)
+    stride = 1
+    for lv, rv in zip(left_vecs, right_vecs):
+        if lv.kind != "int" or rv.kind != "int":
+            return None
+        lvals, rvals = lv.data[left_valid], rv.data[right_valid]
+        if not (lvals.size and rvals.size):
+            continue  # no valid pair: nothing can match anyway
+        low = min(int(lvals.min()), int(rvals.min()))
+        high = max(int(lvals.max()), int(rvals.max()))
+        # Invalid lanes may wrap here; they are masked out of the match.
+        left_codes += (lv.data - low) * stride
+        right_codes += (rv.data - low) * stride
+        stride *= high - low + 1
+        if stride > 1 << 62:
+            return None
+    return left_codes, right_codes
 
 
 def _join_fold(
@@ -1052,33 +1225,51 @@ def compile_plan(
     the whole table, capped at ``2**20`` lanes — which is the fastest
     shape for array kernels; pass an explicit size to bound peak memory.
 
+    Scans, filters and joins carry only the columns their ancestors
+    reference (a ``*`` projection references all of them).
+
     Raises :class:`UnsupportedFeature` for shapes only the row engine
     handles; any other :class:`ExecutionError` is a genuine query error.
     """
+    return _lower(node, database, catalog, batch_size, None)
+
+
+def _lower(
+    node: LogicalNode,
+    database: Database,
+    catalog: Optional[Catalog],
+    batch_size: Optional[int],
+    needed: Optional[set[str]],
+) -> _Op:
+    """:func:`compile_plan` for a node whose ancestors read ``needed``."""
+    def lower(child: LogicalNode, child_needed: Optional[set[str]]) -> _Op:
+        return _lower(child, database, catalog, batch_size, child_needed)
+
     if isinstance(node, LogicalScan):
-        return _ScanOp(node, database, catalog, batch_size)
+        return _ScanOp(node, database, catalog, batch_size, needed)
     if isinstance(node, LogicalSubquery):
-        child = compile_plan(node.child, database, catalog, batch_size)
-        return _AliasOp(child, node.binding)
+        return _AliasOp(lower(node.child, None), node.binding)
     if isinstance(node, LogicalFilter):
-        child = compile_plan(node.child, database, catalog, batch_size)
-        return _FilterOp(child, node.predicate)
+        child = lower(node.child, _widen(needed, [node.predicate]))
+        return _FilterOp(child, node.predicate, needed)
     if isinstance(node, LogicalJoin):
-        left = compile_plan(node.left, database, catalog, batch_size)
-        right = compile_plan(node.right, database, catalog, batch_size)
-        return _JoinOp(left, right, node, batch_size)
+        inputs = _widen(needed, [node.condition])
+        return _JoinOp(
+            lower(node.left, inputs), lower(node.right, inputs),
+            node, batch_size, needed,
+        )
     if isinstance(node, LogicalAggregate):
-        child = compile_plan(node.child, database, catalog, batch_size)
-        return _AggregateOp(child, node, batch_size)
+        exprs = [*node.group_by, *(i.expr for i in node.items), node.having]
+        return _AggregateOp(lower(node.child, _ref_names(exprs)), node, batch_size)
     if isinstance(node, LogicalProject):
-        child = compile_plan(node.child, database, catalog, batch_size)
-        return _ProjectOp(child, node)
+        star = any(isinstance(i.expr, Star) for i in node.items)
+        child_needed = None if star else _ref_names(i.expr for i in node.items)
+        return _ProjectOp(lower(node.child, child_needed), node)
     if isinstance(node, LogicalSort):
-        child = compile_plan(node.child, database, catalog, batch_size)
+        child = lower(node.child, _widen(needed, [o.expr for o in node.order_by]))
         return _SortOp(child, node, batch_size)
     if isinstance(node, LogicalLimit):
-        child = compile_plan(node.child, database, catalog, batch_size)
-        return _LimitOp(child, node.count)
+        return _LimitOp(lower(node.child, needed), node.count)
     raise PlanError(f"cannot execute {node!r}")
 
 

@@ -5,7 +5,8 @@ if every operator is supported the query runs vectorized, otherwise it
 falls back to the row executor (``engine="auto"``, the default).  Callers
 can force either engine with ``engine="row"`` / ``engine="columnar"`` —
 forcing columnar on an unsupported plan raises
-:class:`~repro.sql.columnar.UnsupportedFeature`.
+:class:`~repro.sql.columnar.UnsupportedFeature`.  Both engines run the
+plan after :func:`~repro.sql.logical.push_down_filters`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .columnar import (
     UnsupportedFeature,
 )
 from .executor import Database, QueryExecutor, Row
-from .logical import LogicalNode, plan_statement
+from .logical import LogicalNode, plan_statement, push_down_filters
 from .parser import parse
 
 #: Accepted values for the ``engine`` parameter.
@@ -73,10 +74,11 @@ def execute_plan(
     tracer=None,
     metrics=None,
 ) -> QueryOutcome:
-    """Run a logical plan on the selected (or auto-picked) engine."""
+    """Push filters down in ``plan``, then run it on the selected (or auto-picked) engine."""
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     active_catalog = catalog or DEFAULT_CATALOG
+    plan = push_down_filters(plan, active_catalog)
     chosen, reason, compiled = engine, "", None
     if engine in ("auto", "columnar"):
         executor = ColumnarExecutor(

@@ -9,7 +9,7 @@ the condition, and aggregates accumulate per group key.
 from __future__ import annotations
 
 import fnmatch
-from typing import Callable, Iterable, Optional
+from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .ast import (
     AGGREGATE_FUNCTIONS,
@@ -148,28 +148,38 @@ def _eval_binary(expr: BinaryOp, row: Row) -> object:
         return bool(eval_expr(expr.left, row)) and bool(eval_expr(expr.right, row))
     if op == "or":
         return bool(eval_expr(expr.left, row)) or bool(eval_expr(expr.right, row))
-    left = eval_expr(expr.left, row)
-    right = eval_expr(expr.right, row)
+    return binary_value(op, eval_expr(expr.left, row), eval_expr(expr.right, row))
+
+
+#: Row-engine semantics of the NULL-propagating binary operators.
+PY_BINARY: dict[str, Callable[[object, object], object]] = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+    "%": lambda a, b: a % b,
+    "=": lambda a, b: a == b,
+    "<>": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    ">": lambda a, b: a > b,
+    "<=": lambda a, b: a <= b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def binary_value(op: str, left: object, right: object) -> object:
+    """Apply binary operator ``op`` to two already-evaluated operands."""
+    if op == "and":
+        return bool(left) and bool(right)
+    if op == "or":
+        return bool(left) or bool(right)
     if op == "like":
         return sql_like(left, right)
     if op == "||":
         return f"{left}{right}"
     if left is None or right is None:
         return None
-    ops: dict[str, Callable[[object, object], object]] = {
-        "+": lambda a, b: a + b,
-        "-": lambda a, b: a - b,
-        "*": lambda a, b: a * b,
-        "/": lambda a, b: a / b,
-        "%": lambda a, b: a % b,
-        "=": lambda a, b: a == b,
-        "<>": lambda a, b: a != b,
-        "<": lambda a, b: a < b,
-        ">": lambda a, b: a > b,
-        "<=": lambda a, b: a <= b,
-        ">=": lambda a, b: a >= b,
-    }
-    fn = ops.get(op)
+    fn = PY_BINARY.get(op)
     if fn is None:
         raise ExecutionError(f"unknown operator {op!r}")
     return fn(left, right)
@@ -252,27 +262,40 @@ def _collect_aggregates(expr: Expr, out: list[FunctionCall]) -> None:
             _collect_aggregates(value, out)
 
 
-def _eval_with_aggregates(
-    expr: Expr, group_row: Row, results: dict[str, object]
-) -> object:
-    """Evaluate an expression where aggregate sub-calls are pre-computed."""
+def aggregate_slots(exprs: Iterable[Optional[Expr]]) -> dict[str, FunctionCall]:
+    """The distinct aggregate calls in ``exprs``, keyed by their text."""
+    calls: list[FunctionCall] = []
+    for expr in exprs:
+        if expr is not None:
+            _collect_aggregates(expr, calls)
+    return {str(c): c for c in calls}
+
+
+def bind_aggregates(
+    expr: Expr, slots: dict[str, int]
+) -> Callable[[Row, Sequence[object]], object]:
+    """Compile ``expr`` once into ``f(group_row, results)``.
+
+    Aggregate sub-calls read ``results[slots[str(call)]]``; operators over
+    them apply to the evaluated operands; anything else evaluates against
+    the group's representative row.
+    """
     if isinstance(expr, FunctionCall) and expr.name.lower() in AGGREGATE_FUNCTIONS:
-        return results[str(expr)]
+        slot = slots[str(expr)]
+        return lambda row, results: results[slot]
     if isinstance(expr, BinaryOp):
-        rewritten = BinaryOp(
-            expr.op,
-            _LiteralWrap(_eval_with_aggregates(expr.left, group_row, results)),
-            _LiteralWrap(_eval_with_aggregates(expr.right, group_row, results)),
+        op = expr.op
+        left = bind_aggregates(expr.left, slots)
+        right = bind_aggregates(expr.right, slots)
+        return lambda row, results: binary_value(
+            op, left(row, results), right(row, results)
         )
-        return _eval_binary(rewritten, group_row)
     if isinstance(expr, UnaryOp):
-        inner = _eval_with_aggregates(expr.operand, group_row, results)
-        return -inner if expr.op == "-" else (not inner)  # type: ignore[operator]
-    return eval_expr(expr, group_row)
-
-
-def _LiteralWrap(value: object) -> Literal:
-    return Literal(value)
+        inner = bind_aggregates(expr.operand, slots)
+        if expr.op == "-":
+            return lambda row, results: -inner(row, results)  # type: ignore[operator]
+        return lambda row, results: not inner(row, results)
+    return lambda row, results: eval_expr(expr, row)
 
 
 # ----------------------------------------------------------------------
@@ -304,13 +327,17 @@ def _extract_equi_keys(condition: Expr) -> list[tuple[ColumnRef, ColumnRef]]:
     return pairs
 
 
-def _resolve_side(ref: ColumnRef, row: Row) -> Optional[object]:
+def _column_key(ref: ColumnRef, names: Container[str]) -> Optional[str]:
+    """The one of ``names`` that ``ref`` resolves to (qualified first)."""
     key = f"{ref.qualifier}.{ref.name}" if ref.qualifier else ref.name
-    if key in row:
-        return row[key]
-    if ref.name in row:
-        return row[ref.name]
-    return None
+    if key in names:
+        return key
+    return ref.name if ref.name in names else None
+
+
+def _resolve_side(ref: ColumnRef, row: Row) -> Optional[object]:
+    key = _column_key(ref, row)
+    return None if key is None else row[key]
 
 
 def _qualified_names(names: Iterable[str], binding: Optional[str]) -> list[str]:
@@ -422,15 +449,14 @@ class QueryExecutor:
             null_right = dict.fromkeys(names)
         out: list[Row] = []
         if keys:
-            # Hash join: bucket the right side; decide per key pair which
-            # side each ref resolves against using the first rows.
-            probe_left = left_rows[0] if left_rows else {}
-            oriented: list[tuple[ColumnRef, ColumnRef]] = []
-            for a, b in keys:
-                if _resolve_side(a, probe_left) is not None:
-                    oriented.append((a, b))
-                else:
-                    oriented.append((b, a))
+            # Hash join: bucket the right side.  Each key pair is oriented
+            # by whether its first ref names a column of the left rows
+            # (all left rows share one key set; with none, nothing joins).
+            left_names = left_rows[0] if left_rows else {}
+            oriented = [
+                (a, b) if _column_key(a, left_names) is not None else (b, a)
+                for a, b in keys
+            ]
             buckets: dict[tuple, list[Row]] = {}
             for row in right_rows:
                 key = tuple(_resolve_side(r, row) for _, r in oriented)
@@ -461,38 +487,33 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     def _aggregate(self, node: LogicalAggregate) -> list[Row]:
         child_rows = list(self._run(node.child))
-        calls: list[FunctionCall] = []
-        for item in node.items:
-            _collect_aggregates(item.expr, calls)
-        if node.having is not None:
-            _collect_aggregates(node.having, calls)
-        unique_calls = {str(c): c for c in calls}
+        calls = list(aggregate_slots(
+            [item.expr for item in node.items] + [node.having]
+        ).values())
+        slots = {str(c): i for i, c in enumerate(calls)}
 
-        groups: dict[tuple, tuple[Row, dict[str, _Accumulator]]] = {}
+        groups: dict[tuple, tuple[Row, list[_Accumulator]]] = {}
         for row in child_rows:
             key = tuple(
                 _hashable(eval_expr(g, row)) for g in node.group_by
             ) if node.group_by else ()
             if key not in groups:
-                groups[key] = (row, {k: _Accumulator(c) for k, c in unique_calls.items()})
-            for acc in groups[key][1].values():
+                groups[key] = (row, [_Accumulator(c) for c in calls])
+            for acc in groups[key][1]:
                 acc.add(row)
         if not groups and not node.group_by:
-            empty_accs = {k: _Accumulator(c) for k, c in unique_calls.items()}
-            groups[()] = ({}, empty_accs)
+            groups[()] = ({}, [_Accumulator(c) for c in calls])
 
+        having = bind_aggregates(node.having, slots) if node.having is not None else None
+        items = [(i.output_name, bind_aggregates(i.expr, slots)) for i in node.items]
         out: list[Row] = []
         for representative, accs in groups.values():
-            results = {k: acc.result() for k, acc in accs.items()}
-            if node.having is not None:
-                if not _eval_with_aggregates(node.having, representative, results):
-                    continue
-            out_row: Row = {}
-            for item in node.items:
-                out_row[item.output_name] = _eval_with_aggregates(
-                    item.expr, representative, results
-                )
-            out.append(out_row)
+            results = [acc.result() for acc in accs]
+            if having is not None and not having(representative, results):
+                continue
+            out.append({
+                name: value(representative, results) for name, value in items
+            })
         return out
 
     # ------------------------------------------------------------------

@@ -44,7 +44,13 @@ from .ast import (
     UnaryOp,
 )
 from .batch import ColumnBatch, ColumnVector
-from .executor import _SCALAR_FUNCTIONS, ExecutionError, like_to_glob, sql_like
+from .executor import (
+    _SCALAR_FUNCTIONS,
+    PY_BINARY,
+    ExecutionError,
+    like_to_glob,
+    sql_like,
+)
 
 
 class Const:
@@ -61,21 +67,6 @@ Evaluator = Callable[[ColumnBatch], Value]
 
 _NUMERIC_KINDS = frozenset(("int", "float", "bool"))
 _EMPTY_BOOL = np.empty(0, np.bool_)
-
-#: Row-engine scalar semantics, used by constant folding and fallbacks.
-_PY_BIN: dict[str, Callable[[object, object], object]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-}
 
 _NP_CMP = {
     "=": np.equal, "<>": np.not_equal, "<": np.less,
@@ -193,7 +184,7 @@ def _compare(op: str, a: Value, b: Value, n: int) -> Value:
     if ka == "null" or kb == "null":
         return Const(None)
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(_PY_BIN[op](a.value, b.value))
+        return Const(PY_BINARY[op](a.value, b.value))
     if ka in _NUMERIC_KINDS and kb in _NUMERIC_KINDS:
         with np.errstate(all="ignore"):
             out = _NP_CMP[op](_numeric_operand(a), _numeric_operand(b))
@@ -202,7 +193,7 @@ def _compare(op: str, a: Value, b: Value, n: int) -> Value:
         return _compare_str(op, a, b)
     # Mixed types: the row engine's Python operators decide (== is False,
     # orderings raise TypeError) — run them lane by lane.
-    return _elementwise2(_null_prop(_PY_BIN[op]), a, b, n)
+    return _elementwise2(_null_prop(PY_BINARY[op]), a, b, n)
 
 
 def _compare_str(op: str, a: Value, b: Value) -> Value:
@@ -228,7 +219,7 @@ def _arith(op: str, a: Value, b: Value, n: int) -> Value:
     if ka == "null" or kb == "null":
         return Const(None)
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(_PY_BIN[op](a.value, b.value))
+        return Const(PY_BINARY[op](a.value, b.value))
     if ka in _NUMERIC_KINDS and kb in _NUMERIC_KINDS and not (
         _oversized_const(a) or _oversized_const(b)
     ):
@@ -236,7 +227,7 @@ def _arith(op: str, a: Value, b: Value, n: int) -> Value:
             out = _NP_ARITH[op](_numeric_operand(a), _numeric_operand(b))
         kind = "int" if op != "/" and "float" not in (ka, kb) else "float"
         return ColumnVector(kind, out, _mask_union(a, b))
-    return _elementwise2(_null_prop(_PY_BIN[op]), a, b, n)
+    return _elementwise2(_null_prop(PY_BINARY[op]), a, b, n)
 
 
 def _oversized_const(v: Value) -> bool:
@@ -328,16 +319,42 @@ def _not_null_lanes(v: Value, n: int) -> np.ndarray:
 # LIKE / IN / scalar functions
 # ----------------------------------------------------------------------
 
-def _like_const(v: Value, rx: "re.Pattern[str]", n: int) -> Value:
+def _like_strings(
+    pattern: str, rx: "re.Pattern[str]"
+) -> Callable[[np.ndarray], np.ndarray]:
+    """LIKE ``pattern`` over a string array, one bool per entry.
+
+    A pattern whose only wildcards are a leading and/or trailing ``%`` is
+    a substring, prefix, suffix or equality test, which numpy's string
+    functions run without a per-entry regex match.
+    """
+    core = pattern.strip("%")
+    if core and "%" not in core and "_" not in core:
+        if pattern.startswith("%") and pattern.endswith("%"):
+            return lambda strings: np.char.find(strings, core) >= 0
+        if pattern.endswith("%"):
+            return lambda strings: np.char.startswith(strings, core)
+        if pattern.startswith("%"):
+            return lambda strings: np.char.endswith(strings, core)
+        return lambda strings: strings == core
+    return lambda strings: np.fromiter(
+        (rx.match(u) is not None for u in strings.tolist()),
+        np.bool_, count=len(strings),
+    )
+
+
+def _like_const(
+    v: Value,
+    rx: "re.Pattern[str]",
+    match_strings: Callable[[np.ndarray], np.ndarray],
+    n: int,
+) -> Value:
     # No NULL handling on purpose: the row engine formats NULL as the
     # literal string "None" before matching (sql_like(str(None), pattern)).
     if isinstance(v, Const):
         return Const(rx.match(str(v.value)) is not None)
     if v.kind == "str":
-        per_unique = np.fromiter(
-            (rx.match(u) is not None for u in v.dictionary.tolist()),
-            np.bool_, count=len(v.dictionary),
-        )
+        per_unique = np.asarray(match_strings(v.dictionary), np.bool_)
         out = per_unique[v.data]
         if v.has_nulls():
             out = np.where(v.mask, rx.match("None") is not None, out)
@@ -550,9 +567,12 @@ class _Compiler:
         if op == "like":
             left = self.compile(expr.left)
             if isinstance(expr.right, Literal):
-                glob = like_to_glob(str(expr.right.value))
-                rx = re.compile(fnmatch.translate(glob))
-                return lambda batch: _like_const(left(batch), rx, batch.length)
+                pattern = str(expr.right.value)
+                rx = re.compile(fnmatch.translate(like_to_glob(pattern)))
+                match_strings = _like_strings(pattern, rx)
+                return lambda batch: _like_const(
+                    left(batch), rx, match_strings, batch.length
+                )
             right = self.compile(expr.right)
             return lambda batch: _elementwise2(
                 sql_like, left(batch), right(batch), batch.length

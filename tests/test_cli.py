@@ -44,6 +44,21 @@ def test_sql_command(capsys):
     assert "'c': 25" in out
 
 
+def test_sql_command_prints_executed_plan(capsys):
+    assert main([
+        "sql", "--query",
+        "select n_name from nation n join region r on n.n_regionkey = "
+        "r.r_regionkey where r_name = 'ASIA'",
+        "--scale", "1", "--machines", "4", "--execute",
+    ]) == 0
+    out = capsys.readouterr().out
+    logical = out.split("=== logical plan ===")[1].split("=== job DAG ===")[0]
+    executed = out.split("=== executed plan ===")[1].split("=== results")[0]
+    # The WHERE sits above the join as written, on the region scan as run.
+    assert logical.split()[1].startswith("Filter")
+    assert "Filter((r_name = 'ASIA'))\n      Scan(region as r)" in executed
+
+
 def test_sql_command_engine_flag(capsys):
     for engine in ("row", "columnar"):
         assert main([

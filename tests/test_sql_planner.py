@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.dag import EdgeMode
 from repro.core.operators import OperatorKind as K
 from repro.core.partition import partition_job
 from repro.sql import FIG1_QUERY
-from repro.sql.catalog import Catalog, CatalogError, DEFAULT_CATALOG
+from repro.sql.catalog import Catalog, CatalogError, DEFAULT_CATALOG, TableSchema, _cols
 from repro.sql.logical import (
     LogicalAggregate,
     LogicalFilter,
@@ -19,11 +21,14 @@ from repro.sql.logical import (
     LogicalSort,
     PlanError,
     explain,
+    plan_children,
     plan_statement,
+    push_down_filters,
     scans_in,
 )
 from repro.sql.parser import parse
-from repro.sql.physical import compile_sql
+from repro.sql.physical import PhysicalPlanner, compile_sql
+from repro.workloads.tpch_sql import query_sql
 
 
 def plan(sql):
@@ -152,3 +157,139 @@ def test_custom_catalog_registration():
     )
     node = plan_statement(parse("select ts from events"), catalog)
     assert scans_in(node)[0].table == "events"
+
+
+# ----------------------------------------------------------------------
+# Filter pushdown
+# ----------------------------------------------------------------------
+
+#: sha256 prefixes of ``_dag_text(compile_sql(sql, scale_factor=100))``,
+#: recorded before filter pushdown existed: execution-only pushdown must
+#: leave every simulated DAG as it was.
+DAG_DIGESTS = {
+    "fig1": "d3ac4b84c4697c75",
+    1: "9ce2f2069598f3b3",
+    3: "bbeb5ee615c74a31",
+    5: "e89bd0c1663d1175",
+    6: "03ca77dbdea427e0",
+    9: "d3ac4b84c4697c75",
+    10: "ca06e48afbea02e7",
+    12: "4a9cc0c488763a9f",
+    13: "b2466789ecd03cff",
+    14: "fa96fdfbb5293999",
+    19: "d92f7f008a378879",
+}
+
+
+def _dag_text(dag) -> str:
+    lines = [
+        f"{s.name} x{s.task_count} scan={s.scan_bytes_per_task!r} "
+        f"out={s.output_bytes_per_task!r} [{', '.join(map(str, s.operators))}]"
+        for s in dag
+    ]
+    lines += [f"{e.src}->{e.dst} {dag.edge_mode(e).name}" for e in dag.edges]
+    return "\n".join(lines)
+
+
+def _digest(dag) -> str:
+    return hashlib.sha256(_dag_text(dag).encode()).hexdigest()[:16]
+
+
+def _pushed(sql, catalog=DEFAULT_CATALOG):
+    return push_down_filters(plan_statement(parse(sql), catalog), catalog)
+
+
+@pytest.mark.parametrize("key", list(DAG_DIGESTS), ids=str)
+def test_pushdown_is_execution_only(key):
+    sql = FIG1_QUERY if key == "fig1" else query_sql(key)
+    assert _digest(compile_sql(sql, scale_factor=100)) == DAG_DIGESTS[key]
+
+
+def test_pushed_plan_would_change_the_dag():
+    """The digests above can tell: lowering the pushed Q9 plan differs."""
+    planner = PhysicalPlanner(scale_factor=100)
+    assert _digest(planner.plan(_pushed(query_sql(9)))) != DAG_DIGESTS[9]
+
+
+def test_q9_like_filter_sits_on_part_scan():
+    lines = explain(_pushed(query_sql(9))).splitlines()
+    at = lines.index("                Filter((p_name like '%green%'))")
+    assert lines[at + 1] == "                  Scan(part as p)"
+    assert not any(line.strip().startswith("Filter") for line in lines[:at])
+
+
+def _shared_catalog() -> Catalog:
+    catalog = Catalog()
+    catalog.register(TableSchema(
+        "a", _cols("x:int", "k:int", "v:str"), base_rows=10, bytes_per_row=8
+    ))
+    catalog.register(TableSchema(
+        "b", _cols("y:int", "k:int", "w:str"), base_rows=10, bytes_per_row=8
+    ))
+    return catalog
+
+
+def _filters(node) -> dict[str, str]:
+    """Scan binding (or "join" above the joins) -> its filter predicate."""
+    found = {}
+    for item in _walk(node):
+        if isinstance(item, LogicalFilter):
+            below = item.child
+            found[below.binding if isinstance(below, LogicalScan) else "join"] = str(
+                item.predicate
+            )
+    return found
+
+
+def _walk(node):
+    yield node
+    for child in plan_children(node):
+        yield from _walk(child)
+
+
+@pytest.mark.parametrize("where,expected", [
+    # Bare names found in one table move; the shared bare `k` stays.
+    ("v = 'p' and w > 'q' and k = 1",
+     {"a": "(v = 'p')", "b": "(w > 'q')", "join": "(k = 1)"}),
+    # A qualified name resolves by its binding.
+    ("a.k = 1 or a.k is null", {"a": "((a.k = 1) or is_null(a.k))"}),
+    ("not (y in (1, 2)) and x between 1 and 5",
+     {"a": "((x >= 1) and (x <= 5))", "b": "(not (y in (1, 2)))"}),
+    # Column against column, arithmetic, functions: could raise, stay.
+    ("x = y", {"join": "(x = y)"}),
+    ("x + 1 > 2 and length(v) = 1", {"join": "(((x + 1) > 2) and (length(v) = 1))"}),
+    # Ordering a str column against a number raises; equality never does.
+    ("v < 3 and v = 3", {"join": "(v < 3)", "a": "(v = 3)"}),
+])
+def test_pushdown_rules(where, expected):
+    catalog = _shared_catalog()
+    sql = f"select v, w from a join b on a.x = b.y where {where}"
+    assert _filters(_pushed(sql, catalog)) == expected
+
+
+@pytest.mark.parametrize("kind,expected", [
+    ("join", {"a": "(v = 'p')", "b": "(w = 'q')"}),
+    ("left join", {"a": "(v = 'p')", "join": "(w = 'q')"}),
+])
+def test_pushdown_keeps_left_join_right_side(kind, expected):
+    catalog = _shared_catalog()
+    sql = f"select v, w from a {kind} b on a.x = b.y where v = 'p' and w = 'q'"
+    assert _filters(_pushed(sql, catalog)) == expected
+
+
+def test_pushdown_recurses_into_subqueries_only_for_their_own_where():
+    catalog = _shared_catalog()
+    sql = ("select v, n from a join (select y, w as n from b join a on b.y = a.x "
+           "where w = 'q') s on a.x = s.y where n = 'r' and v = 'p'")
+    pushed = _pushed(sql, catalog)
+    # The outer conjunct on the subquery's output stays above the join.
+    assert _filters(pushed) == {"a": "(v = 'p')", "b": "(w = 'q')", "join": "(n = 'r')"}
+
+
+def test_pushdown_leaves_input_plan_alone_and_is_idempotent():
+    plan = plan_statement(parse(query_sql(3)), DEFAULT_CATALOG)
+    before = explain(plan)
+    once = push_down_filters(plan)
+    assert explain(plan) == before
+    assert explain(push_down_filters(once)) == explain(once)
+    assert explain(once) != before

@@ -5,7 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.partition import partition_job
-from repro.sql import compile_sql, generate_database, parse, run_query
+from repro.sql import (
+    DEFAULT_CATALOG,
+    QueryExecutor,
+    compile_sql,
+    generate_database,
+    parse,
+    plan_statement,
+    run_query,
+)
 from repro.workloads.tpch_sql import TPCH_SQL, query_sql, runnable_queries
 
 
@@ -77,3 +85,36 @@ def test_q12_counts_partition(db):
     rows = run_query(TPCH_SQL[12], db)
     for r in rows:
         assert r["high_line_count"] >= 0 and r["low_line_count"] >= 0
+
+
+@pytest.fixture(scope="module")
+def db5():
+    return generate_database(scale=5, seed=7)
+
+
+def _unpushed_rows(sql, database):
+    """The oracle: the row engine on the plan as written, no pushdown."""
+    plan = plan_statement(parse(sql), DEFAULT_CATALOG)
+    return QueryExecutor(database, DEFAULT_CATALOG).execute(plan)
+
+
+@pytest.mark.parametrize("query", runnable_queries())
+def test_pushdown_matches_unpushed_plan(query, db5):
+    oracle = _unpushed_rows(TPCH_SQL[query], db5)
+    for engine in ("row", "columnar"):
+        assert run_query(TPCH_SQL[query], db5, engine=engine) == oracle
+
+
+def test_left_join_is_null_filter_keeps_unmatched_customers(db5):
+    sql = ("select c_custkey from tpch_customer c left join tpch_orders o "
+           "on c.c_custkey = o.o_custkey where o_orderkey is null "
+           "order by c_custkey")
+    ordered = {o["o_custkey"] for o in db5["orders"]}
+    expected = [
+        {"c_custkey": c["c_custkey"]} for c in db5["customer"]
+        if c["c_custkey"] not in ordered
+    ]
+    assert expected  # the data has customers without orders
+    assert _unpushed_rows(sql, db5) == expected
+    for engine in ("row", "columnar"):
+        assert run_query(sql, db5, engine=engine) == expected
