@@ -20,8 +20,8 @@ Commands
     Compile a Swift-language query to a job DAG, show the plan and the
     graphlet partitioning, simulate it, and optionally execute it on a
     generated mini TPC-H database (``--execute``, which also prints the
-    executed plan after filter pushdown; ``--engine`` picks
-    row/columnar/auto).
+    executed plan after filter pushdown; ``--engine row`` runs the
+    reference executor instead of the columnar engine).
 ``replay [--n-jobs N]``
     Replay a trace against Swift, Bubble Execution, and JetScope.
 ``chaos [--seed N] [--runs N] [--workload W] [--profile P] [--jobs N]``
@@ -221,7 +221,7 @@ def _cmd_sql(args: argparse.Namespace) -> int:
             engine=args.engine, batch_size=args.batch_size,
         )
         print(f"\n=== results ({len(outcome.rows)} rows, first 10) "
-              f"[engine={outcome.engine}: {outcome.reason}] ===")
+              f"[engine={outcome.engine}] ===")
         for row in outcome.rows[:10]:
             print(f"  {row}")
     return 0
@@ -662,10 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sql.add_argument("--machines", type=int, default=100)
     p_sql.add_argument("--execute", action="store_true",
                        help="also execute the query on a mini database")
-    p_sql.add_argument("--engine", choices=("auto", "row", "columnar"),
-                       default="auto",
-                       help="execution engine for --execute (auto picks "
-                            "columnar when the whole plan is supported)")
+    p_sql.add_argument("--engine", choices=("auto", "row"), default="auto",
+                       help="execution engine for --execute (auto: the "
+                            "columnar engine; row: the reference executor)")
     p_sql.add_argument("--batch-size", type=int, default=None, metavar="N",
                        help="columnar batch size (default: auto — whole-table "
                             "batches capped at 2**20 rows)")

@@ -17,7 +17,9 @@ operators are array programs:
   offset and packed directly; otherwise pooled: dictionary merge for
   strings, ``np.unique`` for numerics), build side stably ordered once,
   probe through per-code run counts, candidate pairs expanded with
-  ``np.repeat``;
+  ``np.repeat``; a condition without an equi-key enumerates the cross
+  product left-major in bounded blocks; LEFT and RIGHT joins append
+  NULL-padded unmatched rows;
 * **sort** — successive stable ``np.argsort`` passes, least-significant
   key first, with a null-flag pass replicating the row engine's
   ``_sort_key`` ordering.
@@ -33,9 +35,8 @@ output on every TPC-H query and the conformance corpus.
 Compilation prunes columns: scans, filters and joins carry only the names
 their ancestors reference (see :func:`compile_plan`).
 
-Plans the engine cannot run raise :class:`UnsupportedFeature` at compile
-time; the dispatcher (:mod:`repro.sql.dispatch`) catches it and falls back
-to the row executor.
+The engine runs every plan the planner emits; :mod:`repro.sql.dispatch`
+sends every production query here.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ __all__ = [
     "ColumnarExecutor",
     "DEFAULT_BATCH_SIZE",
     "Kernel",
-    "UnsupportedFeature",
     "compile_kernel",
     "compile_plan",
     "walk_ops",
@@ -120,10 +120,6 @@ _FLOAT_EXACT_INT = 2 ** 53
 #: Widest int value range used directly as group codes: two folded key
 #: columns then stay below 2**62.
 _MAX_KEY_SPAN = 1 << 31
-
-
-class UnsupportedFeature(ExecutionError):
-    """Plan shape the columnar engine cannot run (dispatch falls back)."""
 
 
 class _PythonFallback(Exception):
@@ -254,11 +250,11 @@ class _ScanOp(_Op):
             try:
                 base = catalog.resolve_table(node.table).column_names()
             except KeyError:
-                raise UnsupportedFeature(
+                raise ExecutionError(
                     f"empty table {node.table!r} has no static schema"
                 ) from None
         else:
-            raise UnsupportedFeature(
+            raise ExecutionError(
                 f"empty table {node.table!r} has no static schema"
             )
         # Visible name -> the base column behind it (qualified aliases share
@@ -828,11 +824,6 @@ class _JoinOp(_Op):
         needed: Optional[set[str]] = None,
     ) -> None:
         super().__init__()
-        if node.kind not in ("inner", "left"):
-            raise UnsupportedFeature(f"unsupported join kind {node.kind!r}")
-        keys = _extract_equi_keys(node.condition)
-        if not keys:
-            raise UnsupportedFeature("join without equi-key condition")
         self.left = left
         self.right = right
         self.join_kind = node.kind
@@ -842,7 +833,7 @@ class _JoinOp(_Op):
         left_present = set(left.schema)
         self.keys = [
             (a, b) if _column_key(a, left_present) is not None else (b, a)
-            for a, b in keys
+            for a, b in _extract_equi_keys(node.condition)
         ]
         self.detail = str(node.condition)
         self.right_names = set(right.schema)
@@ -870,29 +861,23 @@ class _JoinOp(_Op):
         left = concat_batches(self.left.schema, list(self.left.batches()))
         right = concat_batches(self.right.schema, list(self.right.batches()))
         began = perf_counter()
-        left_vecs = [self._key_column(l, left) for l, _ in self.keys]
-        right_vecs = [self._key_column(r, right) for _, r in self.keys]
-        try:
-            cand_left, cand_right = self._match_vectorized(
-                left, right, left_vecs, right_vecs
-            )
-        except _PythonFallback:
-            cand_left, cand_right = self._match_python(left_vecs, right_vecs)
-        # Residual check over candidate pairs, mirroring the row engine's
-        # per-candidate eval_expr (skipped for pure equi-conditions).
-        if cand_left.size and not self.pure_equi:
-            needed = self.condition_kernel.col_keys
-            columns = {}
-            for name in needed:
-                if name in self.right_names:
-                    columns[name] = right.columns[name].take(cand_right)
-                else:
-                    columns[name] = left.columns[name].take(cand_left)
-            candidates = ColumnBatch(needed, columns, cand_left.size)
-            keep = self.condition_kernel.truth(candidates)
-            cand_left = cand_left[keep]
-            cand_right = cand_right[keep]
+        if self.keys:
+            left_vecs = [self._key_column(l, left) for l, _ in self.keys]
+            right_vecs = [self._key_column(r, right) for _, r in self.keys]
+            try:
+                cand_left, cand_right = self._match_vectorized(
+                    left, right, left_vecs, right_vecs
+                )
+            except _PythonFallback:
+                cand_left, cand_right = self._match_python(left_vecs, right_vecs)
+            if not self.pure_equi:
+                cand_left, cand_right = self._residual(
+                    left, right, cand_left, cand_right
+                )
+        else:
+            cand_left, cand_right = self._match_cross(left, right)
         if self.join_kind == "left":
+            # Each unmatched left row at its input position.
             matched = np.zeros(left.length, np.bool_)
             matched[cand_left] = True
             unmatched = np.flatnonzero(~matched)
@@ -904,9 +889,21 @@ class _JoinOp(_Op):
                 order = np.argsort(all_left, kind="stable")
                 cand_left = all_left[order]
                 cand_right = all_right[order]
+        elif self.join_kind == "right":
+            # Unmatched right rows after every matched pair, in input order.
+            matched = np.zeros(right.length, np.bool_)
+            matched[cand_right] = True
+            unmatched = np.flatnonzero(~matched)
+            if unmatched.size:
+                cand_left = np.concatenate(
+                    [cand_left, np.full(unmatched.size, -1, np.int64)]
+                )
+                cand_right = np.concatenate([cand_right, unmatched])
         self.seconds += perf_counter() - began
         total = int(cand_left.size)
         size = self.batch_size if self.batch_size is not None else max(total, 1)
+        # Only a RIGHT join pads the left side with NULLs.
+        take_left = _take_padded if self.join_kind == "right" else ColumnVector.take
         for start in range(0, total, size):
             began = perf_counter()
             li = cand_left[start:start + size]
@@ -925,11 +922,58 @@ class _JoinOp(_Op):
                     cache_key = ("l", id(source))
                     picked = taken.get(cache_key)
                     if picked is None:
-                        picked = taken[cache_key] = source.take(li)
+                        picked = taken[cache_key] = take_left(source, li)
                 columns[name] = picked
             batch = ColumnBatch(self.schema, columns, len(li))
             self.seconds += perf_counter() - began
             yield self._emit(batch)
+
+    def _residual(
+        self,
+        left: ColumnBatch,
+        right: ColumnBatch,
+        cand_left: np.ndarray,
+        cand_right: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The candidate pairs that satisfy the whole join condition.
+
+        Mirrors the row engine's per-candidate ``eval_expr``.
+        """
+        if not cand_left.size:
+            return cand_left, cand_right
+        needed = self.condition_kernel.col_keys
+        columns = {}
+        for name in needed:
+            if name in self.right_names:
+                columns[name] = right.columns[name].take(cand_right)
+            else:
+                columns[name] = left.columns[name].take(cand_left)
+        candidates = ColumnBatch(needed, columns, cand_left.size)
+        keep = self.condition_kernel.truth(candidates)
+        return cand_left[keep], cand_right[keep]
+
+    def _match_cross(
+        self, left: ColumnBatch, right: ColumnBatch
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs passing a condition without equi-keys: a nested loop.
+
+        The cross product is enumerated left-major, like the row engine's
+        nested loop, in blocks of at most :data:`_AUTO_BATCH_CAP` pairs.
+        """
+        n_right = right.length
+        total = left.length * n_right
+        kept_left = [np.empty(0, np.int64)]
+        kept_right = [np.empty(0, np.int64)]
+        for start in range(0, total, _AUTO_BATCH_CAP):
+            pairs = np.arange(
+                start, min(start + _AUTO_BATCH_CAP, total), dtype=np.int64
+            )
+            block_left, block_right = self._residual(
+                left, right, pairs // n_right, pairs % n_right
+            )
+            kept_left.append(block_left)
+            kept_right.append(block_right)
+        return np.concatenate(kept_left), np.concatenate(kept_right)
 
     def _match_vectorized(
         self,
@@ -1088,7 +1132,7 @@ def _join_fold(
 
 
 def _take_padded(vec: ColumnVector, indexes: np.ndarray) -> ColumnVector:
-    """Gather with ``-1`` meaning NULL (LEFT JOIN fill)."""
+    """Gather with ``-1`` meaning NULL (outer-join fill)."""
     negative = indexes < 0
     if not negative.any():
         return vec.take(indexes)
@@ -1227,9 +1271,6 @@ def compile_plan(
 
     Scans, filters and joins carry only the columns their ancestors
     reference (a ``*`` projection references all of them).
-
-    Raises :class:`UnsupportedFeature` for shapes only the row engine
-    handles; any other :class:`ExecutionError` is a genuine query error.
     """
     return _lower(node, database, catalog, batch_size, None)
 
@@ -1299,7 +1340,7 @@ class ColumnarExecutor:
         self.metrics = metrics
 
     def compile(self, plan: LogicalNode) -> _Op:
-        """Lower ``plan``; raises :class:`UnsupportedFeature` on fallback."""
+        """Lower ``plan`` to an operator tree for :meth:`run`."""
         return compile_plan(plan, self.database, self.catalog, self.batch_size)
 
     def run(self, root: _Op) -> list[Row]:

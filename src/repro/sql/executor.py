@@ -355,8 +355,9 @@ def plan_schema(node: LogicalNode, database: Database, catalog=None) -> Optional
 
     Returns ``None`` when the shape cannot be determined without running
     the plan (an empty base table absent from ``catalog``, or a node whose
-    output depends on the data).  Both engines use this to NULL-fill the
-    right side of unmatched LEFT JOIN rows when the right input is empty.
+    output depends on the data).  The row engine uses this to NULL-fill
+    the missing side of unmatched LEFT and RIGHT JOIN rows when that
+    input is empty.
     """
     if isinstance(node, LogicalScan):
         rows = database.get(node.table)
@@ -436,53 +437,53 @@ class QueryExecutor:
         left_rows = list(self._run(node.left))
         right_rows = list(self._run(node.right))
         keys = _extract_equi_keys(node.condition)
-        null_right: Row = {}
-        if node.kind == "left":
-            names: dict[str, None] = {}
-            if right_rows:
-                for row in right_rows:
-                    names.update(dict.fromkeys(row))
-            else:
-                names.update(dict.fromkeys(
-                    plan_schema(node.right, self.database, self.catalog) or ()
-                ))
-            null_right = dict.fromkeys(names)
+        null_right = self._null_row(node.right, right_rows) if node.kind == "left" else {}
+        # Hash join: bucket the right side.  Each key pair is oriented by
+        # whether its first ref names a column of the left rows (all left
+        # rows share one key set; with none, nothing joins).  Without an
+        # equi-key, the empty key buckets every right row together: a
+        # nested loop.
+        left_names = left_rows[0] if left_rows else {}
+        oriented = [
+            (a, b) if _column_key(a, left_names) is not None else (b, a)
+            for a, b in keys
+        ]
+        buckets: dict[tuple, list[int]] = {}
+        for j, row in enumerate(right_rows):
+            key = tuple(_resolve_side(r, row) for _, r in oriented)
+            buckets.setdefault(key, []).append(j)
         out: list[Row] = []
-        if keys:
-            # Hash join: bucket the right side.  Each key pair is oriented
-            # by whether its first ref names a column of the left rows
-            # (all left rows share one key set; with none, nothing joins).
-            left_names = left_rows[0] if left_rows else {}
-            oriented = [
-                (a, b) if _column_key(a, left_names) is not None else (b, a)
-                for a, b in keys
-            ]
-            buckets: dict[tuple, list[Row]] = {}
-            for row in right_rows:
-                key = tuple(_resolve_side(r, row) for _, r in oriented)
-                buckets.setdefault(key, []).append(row)
-            for lrow in left_rows:
-                key = tuple(_resolve_side(l, lrow) for l, _ in oriented)
-                matches = buckets.get(key, [])
-                matched = False
-                for rrow in matches:
-                    combined = {**lrow, **rrow}
-                    if eval_expr(node.condition, combined):
-                        out.append(combined)
-                        matched = True
-                if not matched and node.kind == "left":
-                    out.append({**lrow, **null_right})
-        else:
-            for lrow in left_rows:
-                matched = False
-                for rrow in right_rows:
-                    combined = {**lrow, **rrow}
-                    if eval_expr(node.condition, combined):
-                        out.append(combined)
-                        matched = True
-                if not matched and node.kind == "left":
-                    out.append({**lrow, **null_right})
+        right_matched = [False] * len(right_rows) if node.kind == "right" else []
+        for lrow in left_rows:
+            matched = False
+            key = tuple(_resolve_side(l, lrow) for l, _ in oriented)
+            for j in buckets.get(key, ()):
+                combined = {**lrow, **right_rows[j]}
+                if eval_expr(node.condition, combined):
+                    out.append(combined)
+                    matched = True
+                    if right_matched:
+                        right_matched[j] = True
+            if not matched and node.kind == "left":
+                out.append({**lrow, **null_right})
+        if node.kind == "right":
+            # Unmatched right rows follow every matched pair, in input order.
+            null_left = self._null_row(node.left, left_rows)
+            out.extend(
+                {**null_left, **rrow}
+                for rrow, hit in zip(right_rows, right_matched) if not hit
+            )
         return out
+
+    def _null_row(self, node: LogicalNode, rows: list[Row]) -> Row:
+        """An all-NULL row over the columns of ``node``'s output ``rows``.
+
+        With no rows to read names from, the static :func:`plan_schema`
+        supplies them.
+        """
+        if rows:
+            return dict.fromkeys(name for row in rows for name in row)
+        return dict.fromkeys(plan_schema(node, self.database, self.catalog) or ())
 
     # ------------------------------------------------------------------
     def _aggregate(self, node: LogicalAggregate) -> list[Row]:
@@ -562,13 +563,3 @@ def _sort_key(value: object) -> tuple:
         return (0, "", "")
     return (1, type(value).__name__, value)
 
-
-def run_query(sql: str, database: Database, catalog=None) -> list[Row]:
-    """Parse, plan, and execute ``sql`` over ``database``."""
-    from .catalog import DEFAULT_CATALOG
-    from .logical import plan_statement
-    from .parser import parse
-
-    statement = parse(sql)
-    plan = plan_statement(statement, catalog or DEFAULT_CATALOG)
-    return QueryExecutor(database, catalog or DEFAULT_CATALOG).execute(plan)

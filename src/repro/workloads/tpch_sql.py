@@ -155,11 +155,12 @@ def query_sql(query: int) -> str:
 
 
 def run_tpch_query(query: int, database, engine: str = "auto", **kwargs):
-    """Execute TPC-H ``query`` over ``database`` via the engine dispatcher.
+    """Execute TPC-H ``query`` over ``database``; returns the rows.
 
-    ``engine`` is ``"auto"`` (columnar when supported), ``"row"``, or
-    ``"columnar"``; extra keyword arguments (``batch_size``, ``tracer``,
-    ``metrics``) pass through to :func:`repro.sql.dispatch.run_query`.
+    ``engine`` is ``"auto"`` (the columnar engine) or ``"row"`` (the
+    reference executor); extra keyword arguments (``batch_size``,
+    ``tracer``, ``metrics``) pass through to
+    :func:`repro.sql.dispatch.run_query`.
     """
     from ..sql.dispatch import run_query
 

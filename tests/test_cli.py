@@ -60,15 +60,15 @@ def test_sql_command_prints_executed_plan(capsys):
 
 
 def test_sql_command_engine_flag(capsys):
-    for engine in ("row", "columnar"):
+    for flag, engine in (("row", "row"), ("auto", "columnar")):
         assert main([
             "sql", "--query", "select count(*) c from nation",
             "--scale", "1", "--machines", "4", "--execute",
-            "--engine", engine,
+            "--engine", flag,
         ]) == 0
         out = capsys.readouterr().out
         assert "'c': 25" in out
-        assert f"engine={engine}" in out
+        assert f"[engine={engine}]" in out
 
 
 def test_sql_command_reports_chosen_engine(capsys):

@@ -1,4 +1,4 @@
-"""Tests for the columnar SQL engine and the row/columnar dispatcher.
+"""Tests for the columnar SQL engine and engine selection in dispatch.
 
 The correctness contract is differential: on every TPC-H query and on
 assorted plan shapes, the columnar engine must return *exactly* the rows
@@ -15,9 +15,7 @@ from repro.sql import (
     FIG1_QUERY,
     ColumnarExecutor,
     QueryExecutor,
-    UnsupportedFeature,
     compile_kernel,
-    engine_for,
     execute_sql,
     generate_database,
     parse,
@@ -82,56 +80,37 @@ def test_run_tpch_query_engine_selection(db):
     expected = _row_engine(TPCH_SQL[6], db)
     assert run_tpch_query(6, db) == expected
     assert run_tpch_query(6, db, engine="row") == expected
-    assert run_tpch_query(6, db, engine="columnar") == expected
 
 
 # ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
 
-def test_dispatcher_picks_columnar_for_supported_plans(db):
-    engine, reason = engine_for(TPCH_SQL[1], db)
-    assert engine == "columnar"
-    assert "supported" in reason
-
-
 def test_dispatcher_outcome_reports_engine(db):
     outcome = execute_sql(TPCH_SQL[6], db)
     assert outcome.engine == "columnar"
-    assert outcome.requested == "auto"
     assert outcome.elapsed_s >= 0.0
     forced = execute_sql(TPCH_SQL[6], db, engine="row")
     assert forced.engine == "row"
     assert forced.rows == outcome.rows
 
 
-def test_dispatcher_falls_back_on_unsupported_plan(db):
-    # A non-equi join has no hash-join path in the columnar engine.
+def test_non_equi_join_runs_columnar(db):
+    # No equi-key: the columnar engine enumerates the cross product.
     sql = """
         select count(*) as n
         from tpch_nation a join tpch_nation b on a.n_nationkey < b.n_nationkey
     """
-    engine, reason = engine_for(sql, db)
-    assert engine == "row"
-    assert "fallback" in reason
     outcome = execute_sql(sql, db)
-    assert outcome.engine == "row"
-    assert "fallback" in outcome.reason
-    assert outcome.rows == _row_engine(sql, db)
-
-
-def test_forced_columnar_raises_on_unsupported_plan(db):
-    sql = """
-        select count(*) as n
-        from tpch_nation a join tpch_nation b on a.n_nationkey < b.n_nationkey
-    """
-    with pytest.raises(UnsupportedFeature):
-        execute_sql(sql, db, engine="columnar")
+    assert outcome.engine == "columnar"
+    assert outcome.rows == _row_engine(sql, db) == [{"n": 25 * 24 // 2}]
 
 
 def test_unknown_engine_rejected(db):
-    with pytest.raises(ValueError):
-        execute_sql("select 1 as x from tpch_nation", db, engine="gpu")
+    # "columnar" was once a separate choice; "auto" is that engine now.
+    for engine in ("gpu", "columnar"):
+        with pytest.raises(ValueError):
+            execute_sql("select 1 as x from tpch_nation", db, engine=engine)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """SQL conformance corpus, parameterized over both execution engines.
 
-Every case runs through :func:`repro.sql.dispatch.execute_sql` with
-``engine`` forced to ``row`` and ``columnar`` (plus ``auto``) and asserts
-identical results, pinning down the semantic corners where vectorized
-rewrites classically diverge from row-at-a-time interpreters: NULL
-comparison and arithmetic, LIKE with ``_``/``%`` wildcards and glob
-metacharacters in the data, CASE, IN lists, aggregates over empty input,
-and duplicate group keys.
+Every case runs on the row engine and on the columnar engine, both
+through :func:`repro.sql.dispatch.execute_sql` (``engine="row"`` /
+``"auto"``, after filter pushdown) and as the columnar engine alone on
+the plan as written, and asserts identical results, pinning down the
+semantic corners where vectorized rewrites classically diverge from
+row-at-a-time interpreters: NULL comparison and arithmetic, LIKE with
+``_``/``%`` wildcards and glob metacharacters in the data, CASE, IN
+lists, aggregates over empty input, and duplicate group keys.  Outer and
+non-equi joins are also checked against hand-written rows, since the
+row engine was once wrong on RIGHT joins.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ import pytest
 
 from repro.sql import (
     Catalog,
+    ColumnarExecutor,
     QueryExecutor,
     TableSchema,
-    UnsupportedFeature,
     execute_sql,
     explain,
     like_to_glob,
@@ -30,7 +33,16 @@ from repro.sql import (
 from repro.sql.logical import push_down_filters
 from repro.sql.catalog import _cols
 
+#: How a case runs: ``"row"`` and ``"auto"`` are the dispatch engines;
+#: ``"columnar"`` is the columnar engine on the plan as written.
 ENGINES = ("row", "columnar", "auto")
+
+
+def _run(sql, database, catalog, engine):
+    if engine == "columnar":
+        plan = plan_statement(parse(sql), catalog)
+        return ColumnarExecutor(database, catalog).execute(plan)
+    return execute_sql(sql, database, catalog, engine=engine).rows
 
 
 def _catalog() -> Catalog:
@@ -184,16 +196,15 @@ def setup():
 @pytest.mark.parametrize("case_id,sql,ordered", CORPUS, ids=[c[0] for c in CORPUS])
 def test_corpus_case_runs(engine, case_id, sql, ordered, setup):
     database, catalog = setup
-    outcome = execute_sql(sql, database, catalog, engine=engine)
-    assert isinstance(outcome.rows, list)
+    assert isinstance(_run(sql, database, catalog, engine), list)
 
 
 @pytest.mark.parametrize("case_id,sql,ordered", CORPUS, ids=[c[0] for c in CORPUS])
 def test_engines_agree(case_id, sql, ordered, setup):
     database, catalog = setup
-    row = execute_sql(sql, database, catalog, engine="row").rows
-    columnar = execute_sql(sql, database, catalog, engine="columnar").rows
-    auto = execute_sql(sql, database, catalog, engine="auto").rows
+    row, columnar, auto = (
+        _run(sql, database, catalog, engine) for engine in ENGINES
+    )
     if ordered:
         assert columnar == row
         assert auto == row
@@ -204,13 +215,13 @@ def test_engines_agree(case_id, sql, ordered, setup):
 
 @pytest.mark.parametrize("case_id,sql,ordered", CORPUS, ids=[c[0] for c in CORPUS])
 def test_pushdown_matches_unpushed_plan(case_id, sql, ordered, setup):
-    """Every engine runs the pushed-down plan; the oracle is the row engine
-    on the plan as written, compared as exact lists, row order included."""
+    """Every way of running a case matches the row engine on the plan as
+    written, compared as exact lists, row order included."""
     database, catalog = setup
     plan = plan_statement(parse(sql), catalog)
     oracle = QueryExecutor(database, catalog).execute(plan)
     for engine in ENGINES:
-        assert execute_sql(sql, database, catalog, engine=engine).rows == oracle
+        assert _run(sql, database, catalog, engine) == oracle
 
 
 def test_left_join_where_keeps_unmatched_rows(setup):
@@ -222,7 +233,7 @@ def test_left_join_where_keeps_unmatched_rows(setup):
     lines = [line.strip() for line in explain(pushed).splitlines()]
     assert lines[2:4] == ["Filter(is_null(o.owner))", "Join[left]((i.id = o.oid))"]
     for engine in ENGINES:
-        rows = execute_sql(sql, database, catalog, engine=engine).rows
+        rows = _run(sql, database, catalog, engine)
         assert [r["id"] for r in rows] == [2, 4, 5, 6]
 
 
@@ -244,7 +255,7 @@ def test_left_join_empty_right_side(setup):
            "(select oid, owner from owners where 1 = 0) o on i.id = o.oid "
            "order by i.id")
     for engine in ENGINES:
-        rows = execute_sql(sql, database, catalog, engine=engine).rows
+        rows = _run(sql, database, catalog, engine)
         assert len(rows) == len(database["items"])
         assert all(r["owner"] is None for r in rows)
 
@@ -254,7 +265,7 @@ def test_empty_aggregate_values(setup):
     sql = ("select count(*) as n, sum(price) as total, avg(price) as mean "
            "from items where id > 100")
     for engine in ENGINES:
-        (row,) = execute_sql(sql, database, catalog, engine=engine).rows
+        (row,) = _run(sql, database, catalog, engine)
         assert row == {"n": 0, "total": None, "mean": None}
 
 
@@ -340,7 +351,7 @@ def _json_rows(rows):
 def test_numpy_semantics_match_row_engine(case_id, sql, numpy_setup):
     database, catalog = numpy_setup
     row = execute_sql(sql, database, catalog, engine="row").rows
-    columnar = execute_sql(sql, database, catalog, engine="columnar").rows
+    columnar = execute_sql(sql, database, catalog, engine="auto").rows
     assert _json_rows(columnar) == _json_rows(row)
 
 
@@ -348,7 +359,7 @@ def test_nan_is_distinct_from_null(numpy_setup):
     database, catalog = numpy_setup
     sql = "select count(*) as all_rows, count(m_val) as with_val from metrics"
     for engine in ENGINES:
-        (row,) = execute_sql(sql, database, catalog, engine=engine).rows
+        (row,) = _run(sql, database, catalog, engine)
         # 6 rows, 1 NULL: NaN rows still count as present values.
         assert row == {"all_rows": 6, "with_val": 5}
 
@@ -379,8 +390,7 @@ def test_empty_table_both_layouts(case_id, sql, layout, numpy_setup):
     database = {"items": items, "owners": _database()["owners"]}
     expected = execute_sql(sql, database, catalog, engine="row").rows
     for engine in ("columnar", "auto"):
-        got = execute_sql(sql, database, catalog, engine=engine).rows
-        assert got == expected
+        assert _run(sql, database, catalog, engine) == expected
 
 
 #: All-null columns (typed ``object`` by inference — no valid value to
@@ -405,16 +415,55 @@ ALL_NULL_CORPUS = [
 def test_all_null_column_matches_row_engine(case_id, sql, numpy_setup):
     database, catalog = numpy_setup
     row = execute_sql(sql, database, catalog, engine="row").rows
-    columnar = execute_sql(sql, database, catalog, engine="columnar").rows
+    columnar = execute_sql(sql, database, catalog, engine="auto").rows
     assert _json_rows(columnar) == _json_rows(row)
 
 
-def test_forced_columnar_unsupported_is_loud(setup):
-    database, catalog = setup
-    sql = "select a.id from items a join items b on a.id < b.id"
-    with pytest.raises(UnsupportedFeature):
-        execute_sql(sql, database, catalog, engine="columnar")
-    # Auto silently falls back and still answers.
-    outcome = execute_sql(sql, database, catalog, engine="auto")
-    assert outcome.engine == "row"
-    assert outcome.rows == execute_sql(sql, database, catalog, engine="row").rows
+#: (case id, SQL text, the expected rows written out by hand).  RIGHT
+#: joins list matched pairs in inner-join order, then each unmatched
+#: right row in input order; joins without an equi-key pair rows
+#: left-major, like a nested loop.
+JOIN_EXPECTED = [
+    ("right_join_unmatched_region",
+     "select n_name, r_name from nation n right join region r "
+     "on n.n_regionkey = r.r_regionkey",
+     [{"n_name": "A", "r_name": "R0"}, {"n_name": None, "r_name": "R1"}]),
+    ("right_join_non_equi_conjunct",
+     "select i.id, o.oid, o.owner from items i right join owners o "
+     "on i.id = o.oid and i.qty > 1",
+     [{"id": 1, "oid": 1, "owner": "ada"},
+      {"id": None, "oid": 3, "owner": "bob"},
+      {"id": None, "oid": 99, "owner": "eve"}]),
+    # The left input planner-filters to nothing: the NULL fill must come
+    # from the static schema, not from observed rows.
+    ("right_join_empty_left_side",
+     "select i.id, o.owner from (select id, price from items where 1 = 0) i "
+     "right join owners o on i.id = o.oid",
+     [{"id": None, "owner": "ada"}, {"id": None, "owner": "bob"},
+      {"id": None, "owner": "eve"}]),
+    ("less_than_join",
+     "select a.oid as lo, b.oid as hi from owners a join owners b "
+     "on a.oid < b.oid",
+     [{"lo": 1, "hi": 3}, {"lo": 1, "hi": 99}, {"lo": 3, "hi": 99}]),
+    ("constant_true_join",
+     "select i.id, o.owner from items i join owners o on 1 = 1 "
+     "where i.id <= 2",
+     [{"id": 1, "owner": "ada"}, {"id": 1, "owner": "bob"},
+      {"id": 1, "owner": "eve"}, {"id": 2, "owner": "ada"},
+      {"id": 2, "owner": "bob"}, {"id": 2, "owner": "eve"}]),
+]
+
+
+@pytest.mark.parametrize("case_id,sql,expected", JOIN_EXPECTED,
+                         ids=[c[0] for c in JOIN_EXPECTED])
+def test_join_matches_expected_rows(case_id, sql, expected, setup):
+    database, catalog = setup  # the catalog holds the TPC-H tables too
+    database = {
+        **database,
+        "nation": [{"n_nationkey": 0, "n_name": "A", "n_regionkey": 0,
+                    "n_comment": ""}],
+        "region": [{"r_regionkey": k, "r_name": f"R{k}", "r_comment": ""}
+                   for k in (0, 1)],
+    }
+    for engine in ENGINES:
+        assert _run(sql, database, catalog, engine) == expected, engine

@@ -101,7 +101,7 @@ def _unpushed_rows(sql, database):
 @pytest.mark.parametrize("query", runnable_queries())
 def test_pushdown_matches_unpushed_plan(query, db5):
     oracle = _unpushed_rows(TPCH_SQL[query], db5)
-    for engine in ("row", "columnar"):
+    for engine in ("row", "auto"):
         assert run_query(TPCH_SQL[query], db5, engine=engine) == oracle
 
 
@@ -116,5 +116,5 @@ def test_left_join_is_null_filter_keeps_unmatched_customers(db5):
     ]
     assert expected  # the data has customers without orders
     assert _unpushed_rows(sql, db5) == expected
-    for engine in ("row", "columnar"):
+    for engine in ("row", "auto"):
         assert run_query(sql, db5, engine=engine) == expected
